@@ -18,9 +18,9 @@ from .states import (FullBasisState, Partition, PartitionedState, SignPattern,
                      apply_sign_pattern, brute_force_rate, emission_rate,
                      lower, named_state, symmetric_partitioned,
                      symmetric_state, to_full_basis)
-from .schedule import (HadamardMatrix, PiPairConfig, PlanReport, PulseEvent,
-                       PulsePlan, plan_passive, plan_read, plan_write,
-                       stored_rows, sylvester, validate_pi_pair, verify_plan)
+from .schedule import (PiPairConfig, PlanReport, PulseEvent, PulsePlan,
+                       plan_passive, plan_read, plan_write, sylvester,
+                       validate_pi_pair, verify_plan)
 from .storage import (LedgerEntry, ModeLedger, ReadRecord, StorageReport,
                       end_to_end, simulate_read, simulate_write,
                       timebin_qubit_fidelity, timebin_qubit_report)

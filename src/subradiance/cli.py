@@ -17,10 +17,10 @@ from . import __version__
 from .dynamics import (make_grid, optimize_capture, packet_norm,
                        rectangular_packet, rising_exponential,
                        trajectory_table)
-from .errors import ConfigError, RegimeError, SubradianceError
+from .errors import ConfigError, DomainError, RegimeError, SubradianceError
 from .params import (EnsembleInput, density_for_tau_r, derive_params,
                      validate_regime)
-from .schedule import plan_passive, plan_read, plan_write, stored_rows, verify_plan
+from .schedule import plan_passive, plan_read, plan_write, verify_plan
 from .states import emission_rate, named_state
 from .storage import end_to_end, timebin_qubit_report
 from .threelevel import DriveConfig, ThreeLevelState, failure_probability, \
@@ -91,6 +91,26 @@ def emit_json(data: dict) -> str:
     return json.dumps(_fmt(data), indent=2, sort_keys=True) + "\n"
 
 
+def _block(cfg: dict, name: str) -> dict:
+    """Config sub-object ``name``; an absent block is empty."""
+    blk = cfg.get(name, {})
+    if not isinstance(blk, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {blk!r}")
+    return blk
+
+
+def _bounded(blk: dict, key: str, lo: float, hi: float = math.inf) -> float:
+    """Finite number ``blk[key]`` (default 0) in [lo, hi]."""
+    try:
+        value = float(blk.get(key, 0.0))
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and lo <= value <= hi):
+        raise ConfigError(f"{key} must be a finite number in [{lo:g}, {hi:g}], "
+                          f"got {blk.get(key)!r}")
+    return value
+
+
 def _ensemble_input(cfg: dict) -> EnsembleInput:
     e = cfg.get("ensemble")
     if not isinstance(e, dict):
@@ -103,12 +123,12 @@ def _ensemble_input(cfg: dict) -> EnsembleInput:
         raise ConfigError(f"unknown ensemble fields: {sorted(extra)}")
     try:
         return EnsembleInput(**e)
-    except TypeError as exc:
+    except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad ensemble block: {exc}") from exc
 
 
 def _input_packet(cfg: dict, p, grid_duration_default: float):
-    blk = cfg.get("input", {"kind": "rectangular", "duration": "2.5 tau_R"})
+    blk = _block(cfg, "input")
     kind = blk.get("kind", "rectangular")
     if kind == "rectangular":
         dur = parse_time(blk.get("duration", "2.5 tau_R"), p)
@@ -173,7 +193,7 @@ def _scenario_scatter(cfg, p, args):
 
 
 def _build_plans(cfg, p):
-    blk = cfg.get("schedule", {})
+    blk = _block(cfg, "schedule")
     parts = int(blk.get("parts", 4))
     bins = int(blk.get("bins", parts - 1))
     bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
@@ -187,17 +207,16 @@ def _build_plans(cfg, p):
 def _scenario_store(cfg, p, args):
     write, read, parts, bins, bin_dur, _rev = _build_plans(cfg, p)
     grid = make_grid(p, write.t_end)
-    blk = cfg.get("input", {})
-    kind = blk.get("kind", "rectangular")
+    kind = _block(cfg, "input").get("kind", "rectangular")
     if kind == "rectangular":
         f_in = rectangular_packet(p, grid, bins * bin_dur)
     else:
         f_in, _ = _input_packet(cfg, p, write.t_end)
     warnings = validate_regime(p, packet_duration=bins * bin_dur)
     report_obj = end_to_end(f_in, write, read, p,
-                            loss_rate=float(cfg.get("loss_rate", 0.0)),
+                            loss_rate=_bounded(cfg, "loss_rate", 0.0),
                             pulse_success_amplitude=math.sqrt(
-                                1.0 - float(cfg.get("pulse_failure", 0.0))))
+                                1.0 - _bounded(cfg, "pulse_failure", 0.0, 1.0)))
     report = {
         "write_efficiency": report_obj.write_efficiency,
         "read_efficiency": report_obj.read_efficiency,
@@ -212,7 +231,7 @@ def _scenario_store(cfg, p, args):
 
 
 def _scenario_qubit(cfg, p, args):
-    blk = cfg.get("qubit", {})
+    blk = _block(cfg, "qubit")
     alpha = complex(blk.get("alpha_re", 1 / math.sqrt(2)),
                     blk.get("alpha_im", 0.0))
     beta = complex(blk.get("beta_re", 1 / math.sqrt(2)),
@@ -223,7 +242,7 @@ def _scenario_qubit(cfg, p, args):
         alpha, beta, sep, p,
         time_reversed=bool(blk.get("time_reversed", True)),
         pulse_success_amplitude=math.sqrt(
-            1.0 - float(blk.get("pulse_failure", 0.0))))
+            1.0 - _bounded(blk, "pulse_failure", 0.0, 1.0)))
     report = {
         "fidelity": rep.fidelity,
         "total_efficiency": rep.total_efficiency,
@@ -235,7 +254,7 @@ def _scenario_qubit(cfg, p, args):
 
 
 def _scenario_rates(cfg, p, args):
-    blk = cfg.get("states", {})
+    blk = _block(cfg, "states")
     names = blk.get("names", ["one_sym", "two_sym", "one_AminusB",
                               "two_AminusB", "two_prime", "two_ABCD"])
     n_atoms = int(blk.get("atom_count", 16))
@@ -248,7 +267,7 @@ def _scenario_rates(cfg, p, args):
 
 
 def _scenario_schedule(cfg, p, args):
-    blk = cfg.get("schedule", {})
+    blk = _block(cfg, "schedule")
     parts = int(blk.get("parts", 4))
     bins = int(blk.get("bins", parts - 1))
     bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
@@ -264,25 +283,22 @@ def _scenario_schedule(cfg, p, args):
         read = plan_read(parts, bins, bin_dur, time_reversed=reversed_,
                          t0=write.t_end)
     wrep = verify_plan(write)
-    rrep = verify_plan(read, write_plan=write if passive else None)
-    report = {
+    rrep = verify_plan(read, write_plan=write)
+    return {
         "write_plan": write.to_json(),
         "read_plan": read.to_json(),
         "write_ok": wrep.ok,
         "read_ok": rrep.ok,
         "violations": wrep.violations + rrep.violations,
-    }
-    if not passive:
-        report["stored_rows"] = {
-            str(n): "".join("+" if s > 0 else "-" for s in row)
-            for n, row in enumerate(stored_rows(write), start=1)}
-        report["emission_order"] = list(rrep.emission_order)
-        report["emission_signs"] = list(rrep.emission_signs)
-    return report, []
+        "stored_rows": {str(n): row
+                        for n, row in enumerate(wrep.final_rows, start=1)},
+        "emission_order": list(rrep.emission_order),
+        "emission_signs": list(rrep.emission_signs),
+    }, []
 
 
 def _scenario_threelevel(cfg, p, args):
-    blk = cfg.get("threelevel", {})
+    blk = _block(cfg, "threelevel")
     try:
         drive = DriveConfig(g_a=float(blk.get("g_a", 1.0)),
                             g_b=float(blk.get("g_b", 1.0)),

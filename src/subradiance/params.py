@@ -16,7 +16,7 @@ throughout; no unit-conversion layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -52,18 +52,15 @@ class EnsembleInput:
     inhomogeneous_linewidth: float | None = None
 
     def __post_init__(self):
-        for name in ("wavelength", "sample_length", "excited_lifetime"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be strictly positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if (v is not None or f.default is not None) and not 0 < v < math.inf:
+                raise DomainError(f"{f.name} must be finite and strictly positive, "
+                                  f"got {v}")
         if self.cross_section is None and self.beam_diameter is None:
             raise DomainError("one of cross_section or beam_diameter is required")
         if self.cross_section is not None and self.beam_diameter is not None:
             raise DomainError("give cross_section or beam_diameter, not both")
-        for name in ("cross_section", "beam_diameter", "number_density",
-                     "inhomogeneous_linewidth"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise DomainError(f"{name} must be strictly positive")
         if self.atom_count is not None:
             if not self.atom_count >= 1:
                 raise DomainError("atom_count must be >= 1")

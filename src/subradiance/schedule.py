@@ -11,15 +11,20 @@ superradiant row at each read slot.
 The passive scheme replaces pulses by bi-phase modulators placed after each
 spatial part.  A modulator pattern m (entry -1 = on) acts through its
 downstream products s_j = prod_{i >= j} m_i; a pattern is equivalent to the
-active scheme's cumulative flip product c when s = c, i.e.
+active scheme's running flip product c when s = c, i.e.
 m_j = c_j * c_{j+1} (with c beyond the last part taken as +1).
+
+Planner, verifier and ``storage.ModeLedger`` share one kernel: running
+products from ``np.multiply.accumulate``, and the test that a row parked
+under running product r radiates under running product c exactly when
+|r . c| = parts, with the sign of r . c.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .errors import DomainError, PlanError
 from .states import SignPattern
 
 __all__ = [
-    "HadamardMatrix",
     "PulseEvent",
     "PulsePlan",
     "PiPairConfig",
@@ -36,22 +40,12 @@ __all__ = [
     "plan_write",
     "plan_read",
     "plan_passive",
-    "stored_rows",
     "validate_pi_pair",
     "verify_plan",
 ]
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
-    order: int
-    entries: np.ndarray
-
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
-
-def sylvester(order: int) -> HadamardMatrix:
+def sylvester(order: int) -> np.ndarray:
     """Sylvester-Hadamard matrix H_2k by the recursive block doubling."""
     if order < 2 or order & (order - 1):
         raise DomainError(f"order {order} is not a power of two >= 2")
@@ -59,7 +53,7 @@ def sylvester(order: int) -> HadamardMatrix:
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
     while h.shape[0] < order:
         h = np.kron(block, h)
-    return HadamardMatrix(order, h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -142,6 +136,50 @@ def _check_geometry(parts: int, bins: int) -> None:
         raise PlanError(f"bins = {bins} must be between 1 and parts - 1 = {parts - 1}")
 
 
+def _sign_matrix(plan: PulsePlan) -> np.ndarray:
+    """The plan's event masks as an (events x parts) matrix."""
+    return np.array([e.mask.signs for e in plan.events],
+                    dtype=np.int64).reshape(len(plan.events), plan.parts)
+
+
+def _emission_signs(rows: np.ndarray, cums: np.ndarray) -> np.ndarray:
+    """Sign with which each row radiates under each running product.
+
+    Row r is turned into s times the all-plus superradiant row by running
+    product c exactly when |r . c| = parts, and then s = sign(r . c).  Entry
+    (i, k) is that sign for rows[i] under cums[k], or 0 where the row stays
+    subradiant.
+    """
+    dots = rows @ cums.T
+    return np.where(np.abs(dots) == rows.shape[1], np.sign(dots), 0)
+
+
+def _flip_masks(plan: PulsePlan,
+                start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A plan's flip masks, (masks x parts), and the running product after them.
+
+    Active masks are flips already and continue from ``start``.  A passive
+    pattern sets the running product outright to its downstream products,
+    so its flip mask is the product of two consecutive downstream-product
+    vectors.  A passive read's first flip is taken against ``start``, the
+    product its write ended on; a passive write's opening pattern closes no
+    bin and only sets the product its first bin is captured under.
+    """
+    signs = _sign_matrix(plan)
+    if not plan.stage.startswith("passive"):
+        return signs, start * signs.prod(axis=0)
+    down = np.multiply.accumulate(signs[:, ::-1], axis=1)[:, ::-1]
+    if plan.stage == "passive_write" and len(down):
+        start, down = down[0], down[1:]
+    flips = down * np.vstack([start, down[:-1]])
+    return flips, (down[-1] if len(down) else start)
+
+
+def _events(times, masks: np.ndarray, kind: str) -> tuple[PulseEvent, ...]:
+    return tuple(PulseEvent(t, SignPattern(tuple(m)), kind)
+                 for t, m in zip(times, masks.tolist()))
+
+
 def plan_write(parts: int, bins: int, bin_duration: float,
                t0: float = 0.0) -> PulsePlan:
     """Write schedule: one 2 pi mask at the end of each capture bin.
@@ -152,58 +190,31 @@ def plan_write(parts: int, bins: int, bin_duration: float,
     canonical BD, BC, BD sequence.
     """
     _check_geometry(parts, bins)
-    h = sylvester(parts).entries
-    events = []
-    for k in range(1, bins + 1):
-        mask = SignPattern(tuple(int(v) for v in h[k - 1] * h[k]))
-        events.append(PulseEvent(t0 + k * bin_duration, mask, "two_pi"))
-    return PulsePlan(parts, tuple(events), bin_duration, "write", bins)
-
-
-def stored_rows(plan: PulsePlan) -> list[np.ndarray]:
-    """Final sign row of each captured bin after all of a write plan's masks.
-
-    Row of bin n is the product of masks n..bins (capture happens on the
-    all-plus row just before mask n fires).
-    """
-    masks = [np.array(e.mask.signs, dtype=np.int64) for e in plan.events]
-    rows = []
-    for n in range(len(masks)):
-        row = np.ones(plan.parts, dtype=np.int64)
-        for m in masks[n:]:
-            row = row * m
-        rows.append(row)
-    return rows
+    h = sylvester(parts)
+    times = [t0 + k * bin_duration for k in range(1, bins + 1)]
+    return PulsePlan(parts, _events(times, h[:bins] * h[1:bins + 1], "two_pi"),
+                     bin_duration, "write", bins)
 
 
 def plan_read(parts: int, bins: int, bin_duration: float,
               time_reversed: bool = False, t0: float = 0.0) -> PulsePlan:
     """Read schedule: mask k fires at the start of read bin k.
 
-    After mask k the cumulative flip product equals minus the stored row of
-    the bin emitted in that slot (bin k forward, bin bins+1-k reversed); the
+    After mask k the running product equals minus the stored row of the
+    bin emitted in that slot (bin k forward, bin bins+1-k reversed); the
     leading minus fixes the emitted phase to match the incoming packet.  For
     parts=4 this gives the canonical AD, BD, BC (forward) and
     AC, BC, BD (time-reversed) sequences.
     """
     _check_geometry(parts, bins)
-    h = sylvester(parts).entries
-    order = list(range(bins, 0, -1)) if time_reversed else list(range(1, bins + 1))
-    targets = [-(h[bins] * h[b - 1]) for b in order]
-    events = []
-    prev = np.ones(parts, dtype=np.int64)
-    for k, target in enumerate(targets):
-        mask = SignPattern(tuple(int(v) for v in prev * target))
-        events.append(PulseEvent(t0 + k * bin_duration, mask, "two_pi"))
-        prev = target
+    h = sylvester(parts)
+    order = np.arange(bins, 0, -1) if time_reversed else np.arange(1, bins + 1)
+    targets = -(h[bins] * h[order - 1])
+    masks = targets * np.vstack([np.ones(parts, dtype=np.int64), targets[:-1]])
+    times = [t0 + k * bin_duration for k in range(bins)]
     stage = "read_reversed" if time_reversed else "read"
-    return PulsePlan(parts, tuple(events), bin_duration, stage, bins)
-
-
-def _pattern_for_cumulative(cum: np.ndarray) -> SignPattern:
-    """Modulator on/off states whose downstream products equal ``cum``."""
-    ext = np.append(cum, 1)
-    return SignPattern(tuple(int(a * b) for a, b in zip(ext[:-1], ext[1:])))
+    return PulsePlan(parts, _events(times, masks, "two_pi"), bin_duration,
+                     stage, bins)
 
 
 def plan_passive(parts: int, bins: int, bin_duration: float,
@@ -213,30 +224,29 @@ def plan_passive(parts: int, bins: int, bin_duration: float,
 
     Events carry the absolute on/off pattern (-1 = modulator on), not a
     flip.  Write: an all-off event at t0, then one pattern per active mask;
-    the pattern's downstream product equals the active scheme's cumulative
-    flip product.  Read: patterns additionally fold in the write total, so
+    the pattern's downstream products equal the active scheme's running
+    product.  Read: the running products continue from the write total, so
     the sequence continues seamlessly after a passive write.
     """
     if stage not in ("write", "read"):
         raise PlanError("stage must be 'write' or 'read'")
     _check_geometry(parts, bins)
+    ones = np.ones(parts, dtype=np.int64)
     if stage == "write":
         active = plan_write(parts, bins, bin_duration, t0)
-        cum = np.ones(parts, dtype=np.int64)
-        events = [PulseEvent(t0, _pattern_for_cumulative(cum), "modulator_set")]
+        start, times = ones, [t0]  # opens with all modulators off
         base_stage = "passive_write"
     else:
         active = plan_read(parts, bins, bin_duration, time_reversed, t0)
-        # total flip product accumulated by the matching write plan
-        cum = np.ones(parts, dtype=np.int64)
-        for e in plan_write(parts, bins, bin_duration).events:
-            cum = cum * np.array(e.mask.signs, dtype=np.int64)
-        events = []
+        start, times = _flip_masks(plan_write(parts, bins, bin_duration), ones)[1], []
         base_stage = "passive_read_reversed" if time_reversed else "passive_read"
-    for e in active.events:
-        cum = cum * np.array(e.mask.signs, dtype=np.int64)
-        events.append(PulseEvent(e.time, _pattern_for_cumulative(cum), "modulator_set"))
-    return PulsePlan(parts, tuple(events), bin_duration, base_stage, bins)
+    times += [e.time for e in active.events]
+    cums = np.multiply.accumulate(np.vstack([start, _sign_matrix(active)]), axis=0)
+    cums = cums[-len(times):]  # one running product per event
+    # pattern m_j = c_j * c_{j+1}, with c beyond the last part taken as +1
+    patterns = cums * np.pad(cums[:, 1:], ((0, 0), (0, 1)), constant_values=1)
+    return PulsePlan(parts, _events(times, patterns, "modulator_set"),
+                     bin_duration, base_stage, bins)
 
 
 @dataclass(frozen=True)
@@ -282,92 +292,62 @@ class PlanReport:
     orthogonality: np.ndarray | None = None
 
 
-def _is_uniform(row: np.ndarray) -> bool:
-    return bool(np.all(row == row[0]))
-
-
 def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanReport:
     """Replay a plan's sign algebra and check its postconditions.
 
-    Write plans: every stored row must be distinct, pairwise orthogonal and
-    not (minus) all-plus.  Read plans: each mask must turn exactly one
-    not-yet-emitted stored row into (minus) all-plus while the rest stay
-    subradiant; the emission order must be the identity or the reversal.
-    Passive plans are checked by converting each pattern to its downstream
-    products and comparing with the equivalent active plan.
+    Passive patterns are first turned into flip masks, so both schemes go
+    through the same replay.  Write plans: every stored row must be
+    distinct, pairwise orthogonal and not (minus) all-plus.  Read plans:
+    each mask must turn exactly one not-yet-emitted stored row into (minus)
+    all-plus while the rest stay subradiant; the emission order must be the
+    identity or the reversal.  A read plan is replayed on the rows stored by
+    ``write_plan``, by default the active write plan of the same geometry.
     """
+    stage = plan.stage.removeprefix("passive_")
+    if stage not in ("write", "read", "read_reversed"):
+        return PlanReport(False, (f"unknown plan stage {plan.stage!r}",))
+    ones = np.ones(plan.parts, dtype=np.int64)
+    write = plan if stage == "write" else (
+        write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration))
+    write_masks, write_end = _flip_masks(write, ones)
+    # bin n is captured on the all-plus row just before mask n fires and
+    # ends in the product of masks n..bins: the reversed running product
+    rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
     violations: list[str] = []
-    if plan.stage.startswith("passive"):
-        stage = plan.stage.removeprefix("passive_")
-        reversed_ = stage == "read_reversed"
-        if stage == "write":
-            active = plan_write(plan.parts, plan.bins, plan.bin_duration,
-                                plan.events[0].time)
-            cums = [np.ones(plan.parts, dtype=np.int64)]
-        else:
-            active = plan_read(plan.parts, plan.bins, plan.bin_duration,
-                               reversed_, plan.events[0].time)
-            cums = []
-        cum = np.ones(plan.parts, dtype=np.int64)
-        if stage != "write":
-            for e in plan_write(plan.parts, plan.bins, plan.bin_duration).events:
-                cum = cum * np.array(e.mask.signs, dtype=np.int64)
-        for e in active.events:
-            cum = cum * np.array(e.mask.signs, dtype=np.int64)
-            cums.append(cum)
-        if len(plan.events) != len(cums):
-            violations.append("wrong number of modulator events")
-        for e, expect in zip(plan.events, cums):
-            m = np.array(e.mask.signs, dtype=np.int64)
-            down = np.multiply.accumulate(m[::-1])[::-1]
-            if not np.array_equal(down, expect):
-                violations.append(
-                    f"pattern {e.mask.to_string()} at t={e.time:g} has downstream "
-                    f"products {''.join('+' if s > 0 else '-' for s in down)}, "
-                    f"expected {''.join('+' if s > 0 else '-' for s in expect)}"
-                )
-        return PlanReport(not violations, tuple(violations))
 
-    if plan.stage == "write":
-        rows = stored_rows(plan)
-        for i, row in enumerate(rows):
-            if _is_uniform(row):
-                violations.append(f"bin {i + 1} ends on the superradiant row")
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if np.array_equal(rows[i], rows[j]) or np.array_equal(rows[i], -rows[j]):
-                    violations.append(f"bins {i + 1} and {j + 1} share a row")
-        gram = np.array([[int(np.dot(a, b)) for b in rows] for a in rows])
+    if stage == "write":
+        if len(rows) != plan.bins:
+            violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
+        for n in np.flatnonzero(_emission_signs(rows, ones[None])[:, 0]):
+            violations.append(f"bin {n + 1} ends on the superradiant row")
+        # rows i and j agree up to sign exactly when row j, taken as a
+        # running product, turns row i superradiant
+        for i, j in np.argwhere(np.triu(_emission_signs(rows, rows), k=1)):
+            violations.append(f"bins {i + 1} and {j + 1} share a row")
+        gram = rows @ rows.T
         if np.any(gram - np.diag(np.diag(gram))):
             violations.append("stored rows are not pairwise orthogonal")
-        final = tuple("".join("+" if s > 0 else "-" for s in r) for r in rows)
+        final = tuple("".join(r) for r in np.where(rows > 0, "+", "-"))
         return PlanReport(not violations, tuple(violations), final_rows=final,
                           orthogonality=gram)
 
-    if plan.stage in ("read", "read_reversed"):
-        source = write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration)
-        rows = {n + 1: r.copy() for n, r in enumerate(stored_rows(source))}
-        order: list[int] = []
-        signs: list[int] = []
-        for k, e in enumerate(plan.events, start=1):
-            m = np.array(e.mask.signs, dtype=np.int64)
-            for n in rows:
-                rows[n] = rows[n] * m
-            active = [n for n, r in rows.items() if _is_uniform(r)]
-            if len(active) != 1:
-                violations.append(f"read slot {k}: {len(active)} rows became "
-                                  "superradiant (want exactly 1)")
-                continue
-            n = active[0]
-            order.append(n)
-            signs.append(int(rows[n][0]))
-            del rows[n]
-        expected = (list(range(plan.bins, 0, -1)) if plan.stage == "read_reversed"
-                    else list(range(1, plan.bins + 1)))
-        if order != expected:
-            violations.append(f"emission order {order} != expected {expected}")
-        return PlanReport(not violations, tuple(violations),
-                          emission_order=tuple(order), emission_signs=tuple(signs))
-
-    violations.append(f"unknown plan stage {plan.stage!r}")
-    return PlanReport(False, tuple(violations))
+    read_masks, _ = _flip_masks(plan, write_end)
+    hits = _emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
+    live = np.ones(len(rows), dtype=bool)
+    order: list[int] = []
+    signs: list[int] = []
+    for k, slot in enumerate(hits.T, start=1):
+        hot = np.flatnonzero(slot * live)
+        if len(hot) != 1:
+            violations.append(f"read slot {k}: {len(hot)} rows became "
+                              "superradiant (want exactly 1)")
+            continue
+        live[hot] = False
+        order.append(int(hot[0]) + 1)
+        signs.append(int(slot[hot[0]]))
+    expected = (list(range(plan.bins, 0, -1)) if stage == "read_reversed"
+                else list(range(1, plan.bins + 1)))
+    if order != expected:
+        violations.append(f"emission order {order} != expected {expected}")
+    return PlanReport(not violations, tuple(violations),
+                      emission_order=tuple(order), emission_signs=tuple(signs))

@@ -24,7 +24,7 @@ from .dynamics import (AmplitudeTrajectory, TimeGrid, WavePacket,
                        output_field, packet_norm, packet_overlap)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
-from .schedule import PulsePlan, verify_plan
+from .schedule import PulsePlan, _emission_signs, verify_plan
 from .states import SignPattern
 
 __all__ = [
@@ -43,7 +43,9 @@ __all__ = [
 @dataclass
 class LedgerEntry:
     bin_index: int
-    row: np.ndarray  # current +-1 sign vector, global sign included
+    # running mask product when parked; the entry is back on (minus) the
+    # all-plus row once the ledger's running product equals (minus) it
+    parked_product: np.ndarray
     amplitude: complex
 
 
@@ -55,6 +57,10 @@ class ModeLedger:
     entries: list[LedgerEntry] = field(default_factory=list)
     active_amplitude: complex = 0.0
     active_bin: int | None = None
+    _product: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._product = np.ones(self.parts, dtype=np.int64)
 
     def stored_norm_sq(self) -> float:
         return sum(abs(e.amplitude) ** 2 for e in self.entries)
@@ -71,30 +77,32 @@ class ModeLedger:
 
     def apply_mask(self, mask: SignPattern, capture_bin: int | None = None,
                    success_amplitude: float = 1.0) -> None:
-        """Apply a 2 pi mask: flip rows, park the active amplitude, and
-        activate whichever stored row lands on (minus) the all-plus row."""
+        """Apply a 2 pi mask: park the active amplitude, and activate
+        whichever stored row lands on (minus) the all-plus row."""
         m = np.array(mask.signs, dtype=np.int64)
         if len(m) != self.parts:
             raise PlanError("mask length does not match ledger parts")
         for e in self.entries:
-            e.row = e.row * m
             e.amplitude *= success_amplitude
         if self.active_amplitude != 0.0 or capture_bin is not None:
             bin_idx = capture_bin
             if bin_idx is None:
                 bin_idx = self.active_bin if self.active_bin is not None else -1
             self.entries.append(LedgerEntry(
-                bin_idx, m.copy(), self.active_amplitude * success_amplitude))
+                bin_idx, self._product, self.active_amplitude * success_amplitude))
         self.active_amplitude = 0.0
         self.active_bin = None
-        hot = [e for e in self.entries if np.all(e.row == e.row[0])]
+        self._product = self._product * m
+        parked = np.array([e.parked_product for e in self.entries],
+                          dtype=np.int64).reshape(-1, self.parts)
+        signs = _emission_signs(parked, self._product[None])[:, 0]
+        hot = np.flatnonzero(signs)
         if len(hot) > 1:
             raise PlanError("mask made more than one row superradiant")
-        if hot:
-            e = hot[0]
-            self.active_amplitude = complex(e.amplitude * e.row[0])
+        if len(hot):
+            e = self.entries.pop(hot[0])
+            self.active_amplitude = complex(e.amplitude * signs[hot[0]])
             self.active_bin = e.bin_index
-            self.entries.remove(e)
 
 
 @dataclass(frozen=True)
@@ -248,9 +256,9 @@ def _bin_input_amplitudes(f_in: WavePacket, plan: PulsePlan,
     cuts = [0, *_event_indices(grid, plan)]
     out: dict[int, complex] = {}
     for n, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
-        seg = _slice_packet(f_in, a, b)
-        norm = packet_norm(seg, p)
-        mean = np.mean(seg.samples)
+        norm = packet_norm(_slice_packet(f_in, a, b), p)
+        # node b opens the next bin and holds its value
+        mean = np.mean(f_in.samples[a:b])
         phase = mean / abs(mean) if abs(mean) > 0 else 1.0
         out[n] = math.sqrt(max(norm, 0.0)) * phase
     return out
@@ -262,12 +270,9 @@ def _ideal_recall(read_out: WavePacket, record: ReadRecord,
     (possibly permuted) bin amplitude."""
     grid = read_out.grid
     two_tr = 2.0 * p.tau_R
-    slots: list[tuple[float, float]] = []
-    times = sorted(set(read_out.breakpoints))
-    for t_on, t_off in zip(times[:-1], times[1:]):
-        slots.append((t_on, t_off))
-    # keep only slots that carry emission
-    slots = slots[:len(record.bins)]
+    # one (t_on, t_off) breakpoint pair per slot that carried emission
+    bps = read_out.breakpoints
+    slots = list(zip(bps[::2], bps[1::2]))
 
     def shape(t):
         t = np.asarray(t, dtype=float)

@@ -202,3 +202,34 @@ def test_parser_help_lists_scenarios():
     text = parser.format_help()
     for name in ("params", "store", "qubit", "schedule"):
         assert name in text
+
+
+STORE = {"scenario": "store", "ensemble": ENSEMBLE}
+
+
+_BAD_VALUES = {
+    "pulse_failure_above_one": (dict(STORE, pulse_failure=2), "pulse_failure"),
+    "pulse_failure_negative": (dict(STORE, pulse_failure=-0.1), "pulse_failure"),
+    "qubit_pulse_failure": ({"scenario": "qubit", "ensemble": ENSEMBLE,
+                             "qubit": {"pulse_failure": 2}}, "pulse_failure"),
+    "loss_rate_negative": (dict(STORE, loss_rate=-1e9), "loss_rate"),
+    "loss_rate_infinite": (dict(STORE, loss_rate=1e400), "loss_rate"),
+    "schedule_not_object": (dict(STORE, schedule="x"), "'schedule'"),
+    "input_not_object": (dict(STORE, input="x"), "'input'"),
+    "qubit_not_object": ({"scenario": "qubit", "ensemble": ENSEMBLE,
+                          "qubit": "x"}, "'qubit'"),
+    "states_not_object": ({"scenario": "rates", "ensemble": ENSEMBLE,
+                           "states": "x"}, "'states'"),
+    "threelevel_not_object": ({"scenario": "threelevel", "threelevel": "x"},
+                              "'threelevel'"),
+    "atom_count_infinite": (dict(STORE, ensemble=dict(ENSEMBLE, atom_count=1e400)),
+                            "atom_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_exit_2_on_bad_values(tmp_path, capsys, case):
+    doc, named = _BAD_VALUES[case]
+    code, out, err = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err

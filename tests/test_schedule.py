@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from subradiance import (DomainError, PiPairConfig, PlanError, PulsePlan,
-                         plan_passive, plan_read, plan_write, stored_rows,
-                         sylvester, validate_pi_pair, verify_plan)
+                         plan_passive, plan_read, plan_write, sylvester,
+                         validate_pi_pair, verify_plan)
 from subradiance.schedule import PulseEvent
 from subradiance.states import SignPattern
 
 
 def test_sylvester_orthogonality():
     for order in (2, 4, 8, 16):
-        h = sylvester(order).entries
+        h = sylvester(order)
         assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
         assert np.all(h[0] == 1)
         assert set(np.unique(h)) == {-1, 1}
@@ -26,8 +26,7 @@ def test_write_masks_four_parts():
     plan = plan_write(4, 3, 1.0)
     assert [e.mask.to_string() for e in plan.events] == ["+-+-", "+--+", "+-+-"]
     # flips on parts (B,D), (B,C), (B,D)
-    rows = ["".join("+" if s > 0 else "-" for s in r) for r in stored_rows(plan)]
-    assert rows == ["+--+", "++--", "+-+-"]
+    assert verify_plan(plan).final_rows == ("+--+", "++--", "+-+-")
 
 
 def test_read_masks_four_parts():
@@ -64,6 +63,17 @@ def test_verifier_rejects_corrupt_write():
     report = verify_plan(bad)
     assert not report.ok
     assert any("superradiant" in v for v in report.violations)
+
+
+def test_verifier_names_shared_rows():
+    # masks 1 and 2 multiply to all-plus, so bins 1 and 3 end in one row
+    masks = ((1, -1, 1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+    events = tuple(PulseEvent(float(k), SignPattern(m), "two_pi")
+                   for k, m in enumerate(masks, start=1))
+    report = verify_plan(PulsePlan(4, events, 1.0, "write", 3))
+    assert not report.ok
+    assert "bins 1 and 3 share a row" in report.violations
+    assert report.final_rows == ("+--+", "++--", "+--+")
 
 
 def test_verifier_rejects_corrupt_read():
@@ -129,6 +139,23 @@ def test_passive_verifier_rejects_wrong_pattern():
                    "modulator_set"),)
     bad = PulsePlan(4, bad_events, 1.0, "passive_write", 3)
     assert not verify_plan(bad).ok
+
+
+def test_passive_verifier_rejects_wrong_read_pattern():
+    write = plan_passive(4, 3, 1.0, stage="write")
+    plan = plan_passive(4, 3, 1.0, stage="read", time_reversed=True,
+                        t0=write.t_end)
+    good = verify_plan(plan, write_plan=write)
+    assert good.ok and good.emission_order == (3, 2, 1)
+    assert set(good.emission_signs) == {-1}
+    swapped = (plan.events[1].mask, plan.events[0].mask, plan.events[2].mask)
+    bad = PulsePlan(4, tuple(PulseEvent(e.time, m, e.kind)
+                             for e, m in zip(plan.events, swapped)),
+                    1.0, plan.stage, 3)
+    for write_plan in (write, None):
+        report = verify_plan(bad, write_plan=write_plan)
+        assert not report.ok
+        assert any("emission order" in v for v in report.violations)
 
 
 def test_pi_pair_validation():

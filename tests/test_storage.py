@@ -5,9 +5,9 @@ import pytest
 
 from subradiance import (ModeLedger, PlanError, SignPattern, end_to_end,
                          make_grid, packet_norm, plan_read, plan_write,
-                         rectangular_packet, rising_exponential,
+                         WavePacket, rectangular_packet, rising_exponential,
                          simulate_read, simulate_write, timebin_qubit_fidelity,
-                         timebin_qubit_report)
+                         timebin_qubit_report, verify_plan)
 
 
 def _rect_setup(params, bins=3, bin_in_tau_r=2.5, time_reversed=True):
@@ -17,6 +17,25 @@ def _rect_setup(params, bins=3, bin_in_tau_r=2.5, time_reversed=True):
     grid = make_grid(params, write.t_end)
     f_in = rectangular_packet(params, grid, bins * bd)
     return f_in, write, read
+
+
+def _piecewise_setup(params, amps, parts, time_reversed):
+    """Analytic piecewise-constant input carrying photon amplitude amps[n]
+    in bin n + 1, stored over ``parts`` parts in 2.5 tau_R bins."""
+    bins = len(amps)
+    bd = 2.5 * params.tau_R
+    write = plan_write(parts, bins, bd)
+    read = plan_read(parts, bins, bd, time_reversed=time_reversed,
+                     t0=write.t_end)
+    grid = make_grid(params, write.t_end)
+    level = np.asarray(amps, dtype=complex) * math.sqrt(params.tau_E / bd)
+
+    def shape(t):
+        k = np.floor(np.asarray(t, dtype=float) / bd).astype(np.int64)
+        return np.where((k >= 0) & (k < bins), level[np.clip(k, 0, bins - 1)], 0.0)
+
+    edges = tuple(k * bd for k in range(bins + 1))
+    return WavePacket(grid, shape(grid.times), shape=shape, breakpoints=edges), write, read
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +78,30 @@ def test_ledger_minus_uniform_row_folds_sign():
     ledger.apply_mask(SignPattern((1, -1)), capture_bin=1)  # row (+,-)
     ledger.apply_mask(SignPattern((-1, 1)))  # row -> (-,-) = minus all-plus
     assert ledger.active_amplitude == pytest.approx(-0.4)
+
+
+@pytest.mark.parametrize("parts", [2, 4, 8, 16, 32])
+def test_ledger_releases_bins_as_verifier_predicts(parts):
+    for bins in range(1, parts):
+        write = plan_write(parts, bins, 1.0)
+        for time_reversed in (False, True):
+            read = plan_read(parts, bins, 1.0, time_reversed=time_reversed)
+            report = verify_plan(read, write_plan=write)
+            ledger = ModeLedger(parts)
+            for n, e in enumerate(write.events, start=1):
+                ledger.active_amplitude = 1.0
+                ledger.active_bin = n
+                ledger.apply_mask(e.mask, capture_bin=n)
+                assert ledger.active_bin is None
+            order, signs = [], []
+            for e in read.events:
+                ledger.apply_mask(e.mask)
+                order.append(ledger.active_bin)
+                signs.append(int(ledger.active_amplitude.real))
+                ledger.active_amplitude = 0.0  # emitted in full
+            assert tuple(order) == report.emission_order
+            assert tuple(signs) == report.emission_signs
+            assert not ledger.entries
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +183,33 @@ def test_emitted_phase_matches_input_phase(params):
     # a global phase on the input must reappear on the recalled field
     f_in, write, read = _rect_setup(params)
     phase = np.exp(1j * 1.1)
-    from subradiance import WavePacket
     rotated = WavePacket(f_in.grid, phase * f_in.samples,
                          shape=lambda t: phase * f_in.shape(t),
                          breakpoints=f_in.breakpoints)
     rep = end_to_end(rotated, write, read, params)
     for e in rep.emitted.values():
         assert np.angle(e / phase) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_recall_with_empty_interior_bin(params, time_reversed):
+    # an exactly empty middle bin emits nothing; later slots must not shift
+    amps = [1 / math.sqrt(2), 0.0, 1j / math.sqrt(2)]
+    f_in, write, read = _piecewise_setup(params, amps, 4, time_reversed)
+    rep = end_to_end(f_in, write, read, params)
+    assert sorted(rep.emitted) == [1, 3]
+    assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
+    assert rep.bin_probability_error < 1e-9
+
+
+def test_recall_of_random_complex_bins_is_exact(params):
+    # each bin's phase comes from its own samples, not a neighbour's edge node
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+    amps /= np.linalg.norm(amps)
+    f_in, write, read = _piecewise_setup(params, amps, 8, time_reversed=True)
+    rep = end_to_end(f_in, write, read, params)
+    assert abs(rep.fidelity - 1.0) < 1e-12
 
 
 def test_pulse_failure_scales_per_bin(params):
