@@ -22,7 +22,7 @@ from .params import (EnsembleInput, density_for_tau_r, derive_params,
                      validate_regime)
 from .schedule import plan_passive, plan_read, plan_write, verify_plan
 from .states import emission_rate, named_state
-from .storage import end_to_end, timebin_qubit_report
+from .storage import _bin_grid, end_to_end, timebin_qubit_report
 from .threelevel import DriveConfig, ThreeLevelState, failure_probability, \
     pulse_outcome, transfer_time
 
@@ -111,6 +111,18 @@ def _bounded(blk: dict, key: str, lo: float, hi: float = math.inf) -> float:
     return value
 
 
+def _integer(blk: dict, key: str, default: int) -> int:
+    """Integral number ``blk[key]``; ``4.0`` counts, ``4.7`` and ``"x"`` do not."""
+    value = blk.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _ensemble_input(cfg: dict) -> EnsembleInput:
     e = cfg.get("ensemble")
     if not isinstance(e, dict):
@@ -127,19 +139,19 @@ def _ensemble_input(cfg: dict) -> EnsembleInput:
         raise ConfigError(f"bad ensemble block: {exc}") from exc
 
 
-def _input_packet(cfg: dict, p, grid_duration_default: float):
+def _input_packet(cfg: dict, p, grid_duration_default: float, dt=None):
     blk = _block(cfg, "input")
     kind = blk.get("kind", "rectangular")
     if kind == "rectangular":
         dur = parse_time(blk.get("duration", "2.5 tau_R"), p)
         start = parse_time(blk.get("start", 0.0), p)
         total = parse_time(blk.get("grid_duration", grid_duration_default), p)
-        grid = make_grid(p, total)
+        grid = make_grid(p, total, dt=dt)
         return rectangular_packet(p, grid, dur, t_start=start), dur
     if kind == "rising_exponential":
         t_end = parse_time(blk.get("end", "20 tau_R"), p)
         total = parse_time(blk.get("grid_duration", grid_duration_default), p)
-        grid = make_grid(p, max(total, t_end))
+        grid = make_grid(p, max(total, t_end), dt=dt)
         return rising_exponential(t_end, p, grid), t_end
     raise ConfigError(f"unknown input kind {kind!r}")
 
@@ -192,26 +204,31 @@ def _scenario_scatter(cfg, p, args):
     return report, warnings, table
 
 
-def _build_plans(cfg, p):
+def _schedule_block(cfg, p, time_reversed: bool):
+    """The schedule block with its parts, bins, bin duration and read
+    direction (``time_reversed`` is the direction's default)."""
     blk = _block(cfg, "schedule")
-    parts = int(blk.get("parts", 4))
-    bins = int(blk.get("bins", parts - 1))
+    parts = _integer(blk, "parts", 4)
+    bins = _integer(blk, "bins", parts - 1)
     bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
-    reversed_ = bool(blk.get("time_reversed", True))
+    return blk, parts, bins, bin_dur, bool(blk.get("time_reversed", time_reversed))
+
+
+def _active_plans(parts, bins, bin_dur, reversed_):
     write = plan_write(parts, bins, bin_dur)
-    read = plan_read(parts, bins, bin_dur, time_reversed=reversed_,
-                     t0=write.t_end)
-    return write, read, parts, bins, bin_dur, reversed_
+    return write, plan_read(parts, bins, bin_dur, time_reversed=reversed_,
+                            t0=write.t_end)
 
 
 def _scenario_store(cfg, p, args):
-    write, read, parts, bins, bin_dur, _rev = _build_plans(cfg, p)
-    grid = make_grid(p, write.t_end)
+    _, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, True)
+    write, read = _active_plans(parts, bins, bin_dur, reversed_)
+    grid = _bin_grid(p, bin_dur, write.t_end)
     kind = _block(cfg, "input").get("kind", "rectangular")
     if kind == "rectangular":
         f_in = rectangular_packet(p, grid, bins * bin_dur)
     else:
-        f_in, _ = _input_packet(cfg, p, write.t_end)
+        f_in, _ = _input_packet(cfg, p, write.t_end, dt=grid.dt)
     warnings = validate_regime(p, packet_duration=bins * bin_dur)
     report_obj = end_to_end(f_in, write, read, p,
                             loss_rate=_bounded(cfg, "loss_rate", 0.0),
@@ -257,7 +274,7 @@ def _scenario_rates(cfg, p, args):
     blk = _block(cfg, "states")
     names = blk.get("names", ["one_sym", "two_sym", "one_AminusB",
                               "two_AminusB", "two_prime", "two_ABCD"])
-    n_atoms = int(blk.get("atom_count", 16))
+    n_atoms = _integer(blk, "atom_count", 16)
     unit = p.mu / p.excited_lifetime
     rates = {}
     for name in names:
@@ -267,21 +284,13 @@ def _scenario_rates(cfg, p, args):
 
 
 def _scenario_schedule(cfg, p, args):
-    blk = _block(cfg, "schedule")
-    parts = int(blk.get("parts", 4))
-    bins = int(blk.get("bins", parts - 1))
-    bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
-    reversed_ = bool(blk.get("time_reversed", False))
-    passive = bool(blk.get("passive", False))
-    if passive:
+    blk, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, False)
+    if bool(blk.get("passive", False)):
         write = plan_passive(parts, bins, bin_dur, stage="write")
         read = plan_passive(parts, bins, bin_dur, stage="read",
-                            time_reversed=reversed_,
-                            t0=write.t_end)
+                            time_reversed=reversed_, t0=write.t_end)
     else:
-        write = plan_write(parts, bins, bin_dur)
-        read = plan_read(parts, bins, bin_dur, time_reversed=reversed_,
-                         t0=write.t_end)
+        write, read = _active_plans(parts, bins, bin_dur, reversed_)
     wrep = verify_plan(write)
     rrep = verify_plan(read, write_plan=write)
     return {

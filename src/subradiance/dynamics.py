@@ -191,13 +191,15 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 # breakpoints.  Shared by the RK4 integrator and the quadrature helpers.
 # ---------------------------------------------------------------------------
 
-def _segment_bounds(grid: TimeGrid, breakpoints: tuple[float, ...]) -> list[int]:
-    bounds = {0, grid.n_samples - 1}
+def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
+    """Nodes after the first that sit on a breakpoint; each holds the value
+    of the segment it opens, even the last node."""
+    nodes = set()
     for t in breakpoints:
         k = round((t - grid.t0) / grid.dt)
-        if 0 < k < grid.n_samples - 1 and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
-            bounds.add(int(k))
-    return sorted(bounds)
+        if 0 < k < grid.n_samples and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
+            nodes.add(int(k))
+    return nodes
 
 
 def _cubic_midpoints(y: np.ndarray) -> np.ndarray:
@@ -225,31 +227,25 @@ def _cubic_left_limit(y: np.ndarray) -> complex:
     return 2.0 * y[-1] - y[-2]
 
 
-def _cell_values(values_or_packet, grid: TimeGrid | None = None,
-                 breakpoints: tuple[float, ...] = ()):
-    """Per-step (start, mid, end) values of a packet or sampled array."""
-    if isinstance(values_or_packet, WavePacket):
-        f = values_or_packet
-        grid = f.grid
+def _cell_values(f: WavePacket):
+    """Per-step (start, mid, end) values of a packet."""
+    grid = f.grid
+    if f.shape is not None:
         times = grid.times
-        dt = grid.dt
-        if f.shape is not None:
-            nudge = _EDGE_NUDGE * dt
-            v0 = np.asarray(f.shape(times[:-1] + nudge), dtype=complex)
-            vm = np.asarray(f.shape(times[:-1] + 0.5 * dt), dtype=complex)
-            v1 = np.asarray(f.shape(times[1:] - nudge), dtype=complex)
-            return v0, vm, v1
-        y = f.samples
-        breakpoints = f.breakpoints
-    else:
-        y = np.asarray(values_or_packet, dtype=complex)
+        nudge = _EDGE_NUDGE * grid.dt
+        v0 = np.asarray(f.shape(times[:-1] + nudge), dtype=complex)
+        vm = np.asarray(f.shape(times[:-1] + 0.5 * grid.dt), dtype=complex)
+        v1 = np.asarray(f.shape(times[1:] - nudge), dtype=complex)
+        return v0, vm, v1
+    y = f.samples
     n = grid.n_samples
     v0 = y[:-1].copy()
     v1 = y[1:].copy()
     vm = np.empty(n - 1, dtype=complex)
-    bounds = _segment_bounds(grid, breakpoints)
+    jumps = _jump_nodes(grid, f.breakpoints)
+    bounds = sorted(jumps | {0, n - 1})
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if b < n - 1:
+        if b in jumps:
             # node b holds the right-sided limit; the run ending at b needs
             # its final value carried in from the left
             run = y[a:b]

@@ -95,10 +95,6 @@ class PulsePlan:
                 raise PlanError("mask length does not match number of parts")
 
     @property
-    def t_start(self) -> float:
-        return self.events[0].time if self.events else 0.0
-
-    @property
     def t_end(self) -> float:
         """End of the last bin covered by the plan."""
         if not self.events:
@@ -309,6 +305,9 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     ones = np.ones(plan.parts, dtype=np.int64)
     write = plan if stage == "write" else (
         write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration))
+    if write.parts != plan.parts:
+        return PlanReport(False, (f"read plan has {plan.parts} parts, its write "
+                                  f"plan {write.parts}",))
     write_masks, write_end = _flip_masks(write, ones)
     # bin n is captured on the all-plus row just before mask n fires and
     # ends in the product of masks n..bins: the reversed running product

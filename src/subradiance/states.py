@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 import numpy as np
 
@@ -181,14 +180,23 @@ def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
     total = math.comb(n_atoms, n)
     amps: dict[tuple[int, ...], complex] = {}
-    ranges = [range(min(n, s) + 1) for s in partition.part_sizes]
-    for occ in _iter_product(*ranges):
-        if sum(occ) != n:
-            continue
+    for occ in _compositions(n, partition.part_sizes):
         w = math.prod(math.comb(s, k) for s, k in zip(partition.part_sizes, occ))
-        if w:
-            amps[occ] = math.sqrt(w / total)
+        amps[occ] = math.sqrt(w / total)
     return PartitionedState(partition, amps)
+
+
+def _compositions(n: int, caps: tuple[int, ...]):
+    """Tuples (k_1, k_2, ...) with 0 <= k_i <= caps[i] that sum to n, in
+    lexicographic order, for n <= sum(caps).  Each prefix leaves a remainder
+    the remaining parts can hold, so no branch is a dead end."""
+    if not caps:
+        yield ()
+        return
+    room = sum(caps[1:])
+    for k in range(max(0, n - room), min(n, caps[0]) + 1):
+        for rest in _compositions(n - k, caps[1:]):
+            yield (k, *rest)
 
 
 def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None = None):

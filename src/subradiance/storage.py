@@ -14,14 +14,15 @@ packets carry an analytic shape and quadratures on them stay high order.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (AmplitudeTrajectory, TimeGrid, WavePacket,
-                       check_single_photon_norm, evolve_amplitude, make_grid,
-                       output_field, packet_norm, packet_overlap)
+from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
+                       TimeGrid, WavePacket, check_single_photon_norm,
+                       evolve_amplitude, make_grid, output_field, packet_norm)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
 from .schedule import PulsePlan, _emission_signs, verify_plan
@@ -203,7 +204,8 @@ def simulate_read(
 
     Each read mask promotes one stored row to (minus) all-plus; the active
     amplitude then radiates freely, F(t) = sqrt(tau_E/tau_R) c e^{-dt/2tau_R},
-    until the next mask parks what is left of it back in a dark row.
+    until the next mask parks what is left of it back in a dark row.  The
+    caller's ledger is left untouched.
     """
     _require_verified(plan, write_plan)
     if dt is None:
@@ -211,41 +213,45 @@ def simulate_read(
     t0 = plan.events[0].time
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
     cut_idx = _event_indices(grid, plan)
+    times = grid.times
+    ledger = copy.deepcopy(ledger)
 
     two_tr = 2.0 * p.tau_R
     emit_scale = math.sqrt(p.tau_E / p.tau_R)
-    pieces: list[tuple[float, float, complex]] = []  # (t_on, t_off, amplitude)
+    # emitting slots; a leading empty slot at -inf keeps every lookup in range
+    on, off, amps = [-math.inf], [-math.inf], [0j]
     bins_out: list[int] = []
     emitted: list[complex] = []
     for k, idx in enumerate(cut_idx):
         ledger.apply_mask(plan.events[k].mask,
                           success_amplitude=pulse_success_amplitude)
-        t_on = grid.times[idx]
-        t_off = grid.times[cut_idx[k + 1]] if k + 1 < len(cut_idx) else grid.t_end
+        t_on = times[idx]
+        t_off = times[cut_idx[k + 1]] if k + 1 < len(cut_idx) else grid.t_end
         amp = ledger.active_amplitude
         if loss_rate:
             ledger.decay_stored(math.exp(-loss_rate * (t_off - t_on) / 2.0))
         if amp == 0.0:
             continue
-        pieces.append((t_on, t_off, amp))
+        on.append(t_on)
+        off.append(t_off)
+        amps.append(amp)
         bins_out.append(ledger.active_bin if ledger.active_bin is not None else -1)
         emitted.append(amp * math.sqrt(1.0 - math.exp(-(t_off - t_on) / p.tau_R)))
         ledger.active_amplitude = amp * np.exp(-(t_off - t_on) / two_tr)
 
-    leftover = ledger.active_amplitude
-    frozen = tuple(pieces)
+    on, off, amps = np.array(on), np.array(off), np.array(amps, dtype=complex)
 
     def shape(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for t_on, t_off, amp in frozen:
-            sel = (t >= t_on) & (t < t_off)
-            out += np.where(sel, emit_scale * amp * np.exp(-(np.where(sel, t, t_on) - t_on) / two_tr), 0.0)
-        return out
+        j = np.searchsorted(on, t, side="right") - 1
+        inside = t < off[j]
+        lag = np.where(inside, t - on[j], 0.0)
+        return np.where(inside, emit_scale * amps[j] * np.exp(-lag / two_tr), 0.0)
 
-    bps = tuple(t for t_on, t_off, _ in frozen for t in (t_on, t_off))
-    output = WavePacket(grid, shape(grid.times), shape=shape, breakpoints=bps)
-    return output, ReadRecord(tuple(bins_out), tuple(emitted), leftover)
+    bps = tuple(t for pair in zip(on[1:], off[1:]) for t in pair)
+    output = WavePacket(grid, shape(times), shape=shape, breakpoints=bps)
+    return output, ReadRecord(tuple(bins_out), tuple(emitted),
+                              ledger.active_amplitude)
 
 
 def _bin_input_amplitudes(f_in: WavePacket, plan: PulsePlan,
@@ -262,34 +268,6 @@ def _bin_input_amplitudes(f_in: WavePacket, plan: PulsePlan,
         phase = mean / abs(mean) if abs(mean) > 0 else 1.0
         out[n] = math.sqrt(max(norm, 0.0)) * phase
     return out
-
-
-def _ideal_recall(read_out: WavePacket, record: ReadRecord,
-                  f_bins: dict[int, complex], p: EnsembleParams) -> WavePacket:
-    """Target packet: the read kernel in each slot weighted by the input's
-    (possibly permuted) bin amplitude."""
-    grid = read_out.grid
-    two_tr = 2.0 * p.tau_R
-    # one (t_on, t_off) breakpoint pair per slot that carried emission
-    bps = read_out.breakpoints
-    slots = list(zip(bps[::2], bps[1::2]))
-
-    def shape(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for (t_on, t_off), bin_no in zip(slots, record.bins):
-            kernel_norm = math.sqrt(
-                (1.0 - math.exp(-(t_off - t_on) / p.tau_R)) * p.tau_R / p.tau_E)
-            sel = (t >= t_on) & (t < t_off)
-            out += np.where(
-                sel,
-                f_bins.get(bin_no, 0.0) / kernel_norm
-                * np.exp(-(np.where(sel, t, t_on) - t_on) / two_tr),
-                0.0)
-        return out
-
-    return WavePacket(grid, shape(grid.times), shape=shape,
-                      breakpoints=read_out.breakpoints)
 
 
 def end_to_end(
@@ -315,14 +293,15 @@ def end_to_end(
     fidelity = None
     bin_err = None
     if emitted_sq > 0 and in_norm > 0:
-        target = _ideal_recall(output, record, f_bins, p)
-        t_norm = packet_norm(target, p)
-        if t_norm > 0:
-            ov = packet_overlap(target, output, p)
-            fidelity = float(abs(ov) ** 2 / (t_norm * packet_norm(output, p)))
-        probs_out = np.array([abs(e) ** 2 for e in record.emitted])
-        probs_in = np.array([abs(f_bins.get(b, 0.0)) ** 2 for b in record.bins])
-        if probs_out.sum() > 0 and probs_in.sum() > 0:
+        # output and ideal recall share the free-decay kernel in every slot,
+        # so both reduce to their per-slot photon amplitudes
+        e = np.array(record.emitted, dtype=complex)
+        f = np.array([f_bins.get(b, 0.0) for b in record.bins], dtype=complex)
+        f_sq = np.vdot(f, f).real
+        if f_sq > 0:
+            fidelity = float(abs(np.vdot(f, e)) ** 2 / (f_sq * emitted_sq))
+            probs_out = np.abs(e) ** 2
+            probs_in = np.abs(f) ** 2
             bin_err = float(np.max(np.abs(probs_out / probs_out.sum()
                                           - probs_in / probs_in.sum())))
 
@@ -341,6 +320,14 @@ def end_to_end(
     )
 
 
+def _bin_grid(p: EnsembleParams, bin_duration: float, duration: float) -> TimeGrid:
+    """Grid over [0, duration] whose step splits a bin into the whole number
+    of steps nearest the default resolution (at least 40), so that every
+    bin boundary lands exactly on a grid node."""
+    steps = max(int(round(bin_duration / (p.tau_R / DEFAULT_STEPS_PER_TAU_R))), 40)
+    return make_grid(p, duration, dt=bin_duration / steps)
+
+
 def _timebin_setup(alpha: complex, beta: complex, separation: float,
                    p: EnsembleParams, time_reversed: bool):
     from .dynamics import rising_exponential
@@ -350,11 +337,8 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
         raise PlanError("|alpha|^2 + |beta|^2 must be 1")
     if separation < 10.0 * p.tau_R:
         raise PlanError("time bins must be separated by at least 10 tau_R")
-    # pin dt so the bin boundaries land exactly on grid nodes
-    steps = max(int(round(separation / (p.tau_R / 200.0))), 40)
-    dt = separation / steps
     t1, t2 = separation, 2.0 * separation
-    grid = make_grid(p, t2, dt=dt)
+    grid = _bin_grid(p, separation, t2)
     early = rising_exponential(t1, p, grid)
 
     def shape(t):
@@ -383,9 +367,8 @@ def timebin_qubit_report(
     """Store and recall alpha|early> + beta|late> built from rising
     exponentials; each component is written with a single mask."""
     f_in, write, read = _timebin_setup(alpha, beta, separation, p, time_reversed)
-    report = end_to_end(f_in, write, read, p,
-                        pulse_success_amplitude=pulse_success_amplitude)
-    return report
+    return end_to_end(f_in, write, read, p,
+                      pulse_success_amplitude=pulse_success_amplitude)
 
 
 def timebin_qubit_fidelity(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -224,6 +225,15 @@ _BAD_VALUES = {
                               "'threelevel'"),
     "atom_count_infinite": (dict(STORE, ensemble=dict(ENSEMBLE, atom_count=1e400)),
                             "atom_count"),
+    "parts_not_numeric": (dict(STORE, schedule={"parts": "x"}), "parts"),
+    "parts_not_integral": (dict(STORE, schedule={"parts": 4.7}), "parts"),
+    "bins_not_numeric": ({"scenario": "schedule", "ensemble": ENSEMBLE,
+                          "schedule": {"bins": "x"}}, "bins"),
+    "bins_not_integral": (dict(STORE, schedule={"bins": 2.5}), "bins"),
+    "state_atoms_not_numeric": ({"scenario": "rates", "states": {"atom_count": "x"}},
+                                "atom_count"),
+    "state_atoms_not_integral": ({"scenario": "rates", "states": {"atom_count": 15.5}},
+                                 "atom_count"),
 }
 
 
@@ -233,3 +243,21 @@ def test_exit_2_on_bad_values(tmp_path, capsys, case):
     code, out, err = _run(tmp_path, capsys, doc, "--quiet")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_integral_float_counts_accepted(tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys,
+                        dict(STORE, schedule={"parts": 4.0, "bins": 3.0}), "--quiet")
+    assert code == 0
+    code, ref, _ = _run(tmp_path, capsys, STORE, "--quiet")
+    assert code == 0 and out == ref
+
+
+def test_store_grid_snaps_to_bin(tmp_path, capsys, params):
+    # 3 us is about 1.02 tau_R: bin edges fall between nodes of a tau_R/200 grid
+    doc = dict(STORE, schedule={"bin_duration": "3 us"})
+    code, out, _ = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 0
+    x = 3e-6 / params.tau_R
+    want = (2 * (1 - math.exp(-x / 2))) ** 2 / x
+    assert json.loads(out)["report"]["write_efficiency"] == pytest.approx(want, abs=1e-9)

@@ -86,12 +86,14 @@ def test_rising_literal_asymptote_far_from_start(params):
 
 
 def test_sampled_packet_path_matches_analytic(params):
-    grid = make_grid(params, 6 * params.tau_R)
-    ref = rectangular_packet(params, grid, 2.5 * params.tau_R)
-    f = packet_from_samples(grid, ref.samples, breakpoints=ref.breakpoints)
-    ta = evolve_amplitude(ref, 0.0, params)
-    tb = evolve_amplitude(f, 0.0, params)
-    assert np.max(np.abs(ta.c - tb.c)) < 1e-11
+    # on the 2.5 tau_R grid the packet's closing breakpoint is the last node
+    for span in (6.0, 2.5):
+        grid = make_grid(params, span * params.tau_R)
+        ref = rectangular_packet(params, grid, 2.5 * params.tau_R)
+        f = packet_from_samples(grid, ref.samples, breakpoints=ref.breakpoints)
+        ta = evolve_amplitude(ref, 0.0, params)
+        tb = evolve_amplitude(f, 0.0, params)
+        assert np.max(np.abs(ta.c - tb.c)) < 1e-11
 
 
 # ---------------------------------------------------------------------------

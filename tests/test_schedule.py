@@ -158,6 +158,16 @@ def test_passive_verifier_rejects_wrong_read_pattern():
         assert any("emission order" in v for v in report.violations)
 
 
+def test_verifier_rejects_write_plan_of_other_parts():
+    for read, write in ((plan_read(8, 3, 1.0), plan_write(4, 3, 1.0)),
+                        (plan_passive(4, 3, 1.0, stage="read"),
+                         plan_passive(8, 3, 1.0, stage="write"))):
+        report = verify_plan(read, write_plan=write)
+        assert not report.ok
+        assert report.violations == (
+            f"read plan has {read.parts} parts, its write plan {write.parts}",)
+
+
 def test_pi_pair_validation():
     L = 5e-3
     k = 2 * np.pi / 606e-9

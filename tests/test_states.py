@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -75,6 +76,23 @@ def test_symmetric_partitioned_is_hypergeometric():
         want = math.sqrt(math.comb(4, na) * math.comb(6, nb) / total)
         assert a == pytest.approx(want, rel=1e-14)
     assert st.norm() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("sizes,n", [
+    ((1, 3, 1), 4), ((1, 3, 1), 5), ((1, 3, 1), 0), ((4, 6), 3),
+    ((2, 2, 2, 2), 2), ((3, 1, 2), 2), ((1,) * 8, 3), ((5,), 2),
+])
+def test_symmetric_partitioned_matches_product_filter(sizes, n):
+    part = Partition(sizes)
+    total = math.comb(part.n_atoms, n)
+    want = {}
+    for occ in itertools.product(*[range(min(n, s) + 1) for s in sizes]):
+        if sum(occ) == n:
+            w = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
+            want[occ] = math.sqrt(w / total)
+    got = symmetric_partitioned(n, part).amplitudes
+    assert list(got) == list(want)
+    assert got == want
 
 
 def test_partitioned_embedding_matches_direct_dicke():

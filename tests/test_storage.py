@@ -151,11 +151,14 @@ def test_write_loss_decays_stored(params):
 def test_read_releases_in_plan_order(params):
     f_in, write, read = _rect_setup(params, time_reversed=True)
     ledger, _ = simulate_write(f_in, write, params)
-    output, record = simulate_read(ledger, read, params, write_plan=write)
+    stored = ledger.amplitudes_by_bin()
+    output, record = simulate_read(ledger, read, params, write_plan=write,
+                                   loss_rate=0.1 / params.tau_R)
     assert record.bins == (3, 2, 1)
+    # the read leaves the caller's ledger as it was, so it can be read again
+    assert ledger.amplitudes_by_bin() == stored and ledger.active_amplitude == 0
     fwd_read = plan_read(4, 3, 2.5 * params.tau_R, t0=write.t_end)
-    ledger2, _ = simulate_write(f_in, write, params)
-    _, record2 = simulate_read(ledger2, fwd_read, params, write_plan=write)
+    _, record2 = simulate_read(ledger, fwd_read, params, write_plan=write)
     assert record2.bins == (1, 2, 3)
 
 
