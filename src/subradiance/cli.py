@@ -99,15 +99,16 @@ def _block(cfg: dict, name: str) -> dict:
     return blk
 
 
-def _bounded(blk: dict, key: str, lo: float, hi: float = math.inf) -> float:
-    """Finite number ``blk[key]`` (default 0) in [lo, hi]."""
+def _bounded(blk: dict, key: str, lo: float = -math.inf, hi: float = math.inf,
+             default: float = 0.0) -> float:
+    """Finite number ``blk[key]`` in [lo, hi]."""
     try:
-        value = float(blk.get(key, 0.0))
+        value = float(blk.get(key, default))
     except (TypeError, ValueError):
         value = math.nan
     if not (math.isfinite(value) and lo <= value <= hi):
-        raise ConfigError(f"{key} must be a finite number in [{lo:g}, {hi:g}], "
-                          f"got {blk.get(key)!r}")
+        span = f" in [{lo:g}, {hi:g}]" if math.isfinite(lo) or math.isfinite(hi) else ""
+        raise ConfigError(f"{key} must be a finite number{span}, got {blk.get(key)!r}")
     return value
 
 
@@ -121,6 +122,28 @@ def _integer(blk: dict, key: str, default: int) -> int:
     if not number.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(number)
+
+
+def _flag(blk: dict, key: str, default: bool) -> bool:
+    """JSON boolean ``blk[key]``; the string ``"false"`` is not one."""
+    value = blk.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _complex(blk: dict, key: str, default: complex) -> complex:
+    """Complex ``key`` from the finite real fields ``{key}_re`` and ``{key}_im``."""
+    return complex(_bounded(blk, key + "_re", default=default.real),
+                   _bounded(blk, key + "_im", default=default.imag))
+
+
+def _strings(blk: dict, key: str, default: list[str]) -> list[str]:
+    """List of strings ``blk[key]``; a bare string is not one."""
+    value = blk.get(key, default)
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+    return value
 
 
 def _ensemble_input(cfg: dict) -> EnsembleInput:
@@ -211,7 +234,7 @@ def _schedule_block(cfg, p, time_reversed: bool):
     parts = _integer(blk, "parts", 4)
     bins = _integer(blk, "bins", parts - 1)
     bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
-    return blk, parts, bins, bin_dur, bool(blk.get("time_reversed", time_reversed))
+    return blk, parts, bins, bin_dur, _flag(blk, "time_reversed", time_reversed)
 
 
 def _active_plans(parts, bins, bin_dur, reversed_):
@@ -249,15 +272,13 @@ def _scenario_store(cfg, p, args):
 
 def _scenario_qubit(cfg, p, args):
     blk = _block(cfg, "qubit")
-    alpha = complex(blk.get("alpha_re", 1 / math.sqrt(2)),
-                    blk.get("alpha_im", 0.0))
-    beta = complex(blk.get("beta_re", 1 / math.sqrt(2)),
-                   blk.get("beta_im", 0.0))
+    alpha = _complex(blk, "alpha", 1 / math.sqrt(2))
+    beta = _complex(blk, "beta", 1 / math.sqrt(2))
     sep = parse_time(blk.get("separation", "20 tau_R"), p)
     warnings = validate_regime(p, packet_duration=sep)
     rep = timebin_qubit_report(
         alpha, beta, sep, p,
-        time_reversed=bool(blk.get("time_reversed", True)),
+        time_reversed=_flag(blk, "time_reversed", True),
         pulse_success_amplitude=math.sqrt(
             1.0 - _bounded(blk, "pulse_failure", 0.0, 1.0)))
     report = {
@@ -272,8 +293,8 @@ def _scenario_qubit(cfg, p, args):
 
 def _scenario_rates(cfg, p, args):
     blk = _block(cfg, "states")
-    names = blk.get("names", ["one_sym", "two_sym", "one_AminusB",
-                              "two_AminusB", "two_prime", "two_ABCD"])
+    names = _strings(blk, "names", ["one_sym", "two_sym", "one_AminusB",
+                                    "two_AminusB", "two_prime", "two_ABCD"])
     n_atoms = _integer(blk, "atom_count", 16)
     unit = p.mu / p.excited_lifetime
     rates = {}
@@ -285,7 +306,7 @@ def _scenario_rates(cfg, p, args):
 
 def _scenario_schedule(cfg, p, args):
     blk, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, False)
-    if bool(blk.get("passive", False)):
+    if _flag(blk, "passive", False):
         write = plan_passive(parts, bins, bin_dur, stage="write")
         read = plan_passive(parts, bins, bin_dur, stage="read",
                             time_reversed=reversed_, t0=write.t_end)
@@ -309,14 +330,20 @@ def _scenario_schedule(cfg, p, args):
 def _scenario_threelevel(cfg, p, args):
     blk = _block(cfg, "threelevel")
     try:
-        drive = DriveConfig(g_a=float(blk.get("g_a", 1.0)),
-                            g_b=float(blk.get("g_b", 1.0)),
-                            alpha=complex(blk.get("alpha_re", 10.0),
-                                          blk.get("alpha_im", 0.0)))
+        drive = DriveConfig(g_a=_bounded(blk, "g_a", default=1.0),
+                            g_b=_bounded(blk, "g_b", default=1.0),
+                            alpha=_complex(blk, "alpha", 10.0))
     except SubradianceError as exc:
         raise ConfigError(str(exc)) from exc
     amps = blk.get("initial", [1.0, 0.0, 0.0])
-    state = ThreeLevelState(tuple(complex(a) for a in amps))
+    try:
+        # an amplitude is a number or a string such as "0.6+0.8j"
+        initial = tuple(complex(a) for a in amps) if isinstance(amps, list) else None
+    except (TypeError, ValueError):
+        initial = None
+    if initial is None:
+        raise ConfigError(f"initial must be a list of complex amplitudes, got {amps!r}")
+    state = ThreeLevelState(initial)
     out = pulse_outcome(state, drive)
     return {
         "rabi_rate": drive.rabi_rate,

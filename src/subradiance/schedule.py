@@ -14,10 +14,13 @@ downstream products s_j = prod_{i >= j} m_i; a pattern is equivalent to the
 active scheme's running flip product c when s = c, i.e.
 m_j = c_j * c_{j+1} (with c beyond the last part taken as +1).
 
-Planner, verifier and ``storage.ModeLedger`` share one kernel: running
-products from ``np.multiply.accumulate``, and the test that a row parked
-under running product r radiates under running product c exactly when
-|r . c| = parts, with the sign of r . c.
+Planner and verifier share one kernel: running products from
+``np.multiply.accumulate``, and the test that a row parked under running
+product r radiates under running product c exactly when |r . c| = parts,
+with the sign of r . c.  ``verify_plan`` is the only replay on a run:
+``storage`` takes every read slot's bin and sign from its report, and
+``storage.ModeLedger.apply_mask`` uses the kernel only as the reference
+model that replays one mask at a time.
 """
 
 from __future__ import annotations

@@ -89,6 +89,8 @@ class SignPattern:
 
     @classmethod
     def from_string(cls, text: str) -> "SignPattern":
+        if set(text) - {"+", "-"}:
+            raise DomainError(f"sign pattern {text!r} may hold only '+' and '-'")
         return cls(tuple(1 if ch == "+" else -1 for ch in text))
 
     def to_string(self) -> str:

@@ -6,15 +6,15 @@ A pulse mask is a norm-preserving relabeling of rows.  Residual subradiant
 decay (the 1/(N-2)-suppressed rates) can be switched on as a uniform
 amplitude loss for sensitivity studies; it defaults to zero.
 
-During a write bin the active amplitude follows the RK4-integrated local
-law driven by the input packet.  During read-out the active amplitude
-decays freely, for which the exact exponential is used, so read output
-packets carry an analytic shape and quadratures on them stay high order.
+``verify_plan`` is the only replay of the sign algebra: it fixes every read
+slot's bin and sign, for active and passive plans alike.  Write bins follow
+the RK4-integrated local law from zero and read slots decay freely; loss and
+pulse failure are scalar factors, so stored and emitted amplitudes are closed
+forms.  ``ModeLedger.apply_mask`` is the mask-by-mask reference model.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +25,8 @@ from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
                        evolve_amplitude, make_grid, output_field, packet_norm)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
-from .schedule import PulsePlan, _emission_signs, verify_plan
+from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
+                       plan_write, verify_plan)
 from .states import SignPattern
 
 __all__ = [
@@ -72,10 +73,6 @@ class ModeLedger:
     def amplitudes_by_bin(self) -> dict[int, complex]:
         return {e.bin_index: e.amplitude for e in self.entries}
 
-    def decay_stored(self, factor: float) -> None:
-        for e in self.entries:
-            e.amplitude *= factor
-
     def apply_mask(self, mask: SignPattern, capture_bin: int | None = None,
                    success_amplitude: float = 1.0) -> None:
         """Apply a 2 pi mask: park the active amplitude, and activate
@@ -108,11 +105,12 @@ class ModeLedger:
 
 @dataclass(frozen=True)
 class ReadRecord:
-    """Per-slot amplitudes emitted during read-out."""
+    """Per emitting read slot: its bin, the photon amplitude it emits and
+    the amplitude still in the radiating row when the slot ends."""
 
     bins: tuple[int, ...]
     emitted: tuple[complex, ...]
-    leftover: complex
+    leftover: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,12 @@ class StorageReport:
     input_norm: float
 
 
-def _event_indices(grid: TimeGrid, plan: PulsePlan) -> list[int]:
+def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
+    """Grid indices of the plan's last ``plan.bins`` events: the write bins'
+    ends or the read slots' starts (a passive write's opening closes no bin)."""
     try:
-        return [grid.index_of(e.time) for e in plan.events]
+        return [grid.index_of(e.time)
+                for e in plan.events[len(plan.events) - plan.bins:]]
     except GridError as exc:
         raise PlanError(f"plan events must sit on grid nodes: {exc}") from exc
 
@@ -142,10 +143,12 @@ def _slice_packet(f: WavePacket, i0: int, i1: int) -> WavePacket:
                       breakpoints=f.breakpoints)
 
 
-def _require_verified(plan: PulsePlan, write_plan: PulsePlan | None = None) -> None:
+def _require_verified(plan: PulsePlan,
+                      write_plan: PulsePlan | None = None) -> PlanReport:
     report = verify_plan(plan, write_plan)
     if not report.ok:
         raise PlanError("plan failed verification: " + "; ".join(report.violations))
+    return report
 
 
 def simulate_write(
@@ -157,34 +160,36 @@ def simulate_write(
 ) -> tuple[ModeLedger, WavePacket]:
     """Drive the ensemble with ``f_in`` while applying the write plan.
 
-    Returns the ledger of captured amplitudes and the transmitted (not
-    absorbed) packet on the input grid.
+    A verified plan never turns a parked row superradiant again, so every
+    bin starts from c = 0; bin n, captured as c_n at its edge t_n, is stored
+    as c_n s^(bins-n+1) e^{-loss (T - t_n)/2} (s the pulse success amplitude,
+    T the grid end).  Returns the ledger of stored amplitudes and the
+    transmitted (not absorbed) packet on the input grid.
     """
     _require_verified(plan)
     check_single_photon_norm(f_in, p)
     grid = f_in.grid
-    cut_idx = _event_indices(grid, plan)
-    if cut_idx and cut_idx[0] == 0:
+    edges = _bin_edges(grid, plan)
+    if edges and edges[0] == 0:
         raise PlanError("first write pulse coincides with the grid start")
-    ledger = ModeLedger(plan.parts)
     c_full = np.empty(grid.n_samples, dtype=complex)
-    pos = 0
-    c_now = 0.0 + 0.0j
-    for bin_no, idx in enumerate([*cut_idx, grid.n_samples - 1], start=1):
-        if idx == pos:
-            continue
-        traj = evolve_amplitude(_slice_packet(f_in, pos, idx), c_now, p)
-        c_full[pos:idx + 1] = traj.c
-        c_now = traj.c[-1]
-        if loss_rate:
-            ledger.decay_stored(math.exp(-loss_rate * (idx - pos) * grid.dt / 2.0))
-        if bin_no <= len(cut_idx):
-            ledger.active_amplitude = c_now
-            ledger.active_bin = bin_no
-            ledger.apply_mask(plan.events[bin_no - 1].mask, capture_bin=bin_no,
-                              success_amplitude=pulse_success_amplitude)
-            c_now = ledger.active_amplitude  # zero unless a row reactivated
-        pos = idx
+    captured = []
+    for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
+        if b > a:
+            traj = evolve_amplitude(_slice_packet(f_in, a, b), 0.0, p)
+            c_full[a:b + 1] = traj.c
+            captured.append(traj.c[-1])
+    held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
+    stored = (np.array(captured[:len(edges)], dtype=complex)
+              * np.exp(-loss_rate * held / 2.0)
+              * pulse_success_amplitude ** np.arange(len(edges), 0, -1))
+    masks, product = _flip_masks(plan, np.ones(plan.parts, dtype=np.int64))
+    # bin n is parked under the final running product times its stored row
+    parked = product * np.multiply.accumulate(masks[::-1], axis=0)[::-1]
+    ledger = ModeLedger(plan.parts, [
+        LedgerEntry(n, row, a)
+        for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
+    ledger._product = product
     transmitted = output_field(f_in, AmplitudeTrajectory(grid, c_full), p)
     bps = tuple(sorted(set(f_in.breakpoints) | {e.time for e in plan.events}))
     transmitted = WavePacket(grid, transmitted.samples, breakpoints=bps)
@@ -200,66 +205,59 @@ def simulate_read(
     write_plan: PulsePlan | None = None,
     pulse_success_amplitude: float = 1.0,
 ) -> tuple[WavePacket, ReadRecord]:
-    """Release the stored amplitudes according to a read plan.
+    """Release the amplitudes that ``simulate_write`` stored under
+    ``write_plan`` (by default the active write plan of the same geometry).
 
-    Each read mask promotes one stored row to (minus) all-plus; the active
-    amplitude then radiates freely, F(t) = sqrt(tau_E/tau_R) c e^{-dt/2tau_R},
-    until the next mask parks what is left of it back in a dark row.  The
-    caller's ledger is left untouched.
+    Slot k opens at t_k with the stored amplitude of bin ``emission_order[k]``
+    times ``emission_signs[k]`` s^k e^{-loss (t_k - t_1)/2}, which radiates
+    freely, F(t) = sqrt(tau_E/tau_R) a_k e^{-(t - t_k)/2tau_R}, until the
+    next mask parks what is left of it back in a dark row.  The caller's
+    ledger is left untouched.
     """
-    _require_verified(plan, write_plan)
+    write = write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration)
+    report = _require_verified(plan, write)
+    if not np.array_equal(ledger._product,
+                          _flip_masks(write, np.ones(plan.parts, dtype=np.int64))[1]):
+        raise PlanError("ledger was not written by the read plan's write plan")
     if dt is None:
         dt = p.tau_R / 200.0
     t0 = plan.events[0].time
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
-    cut_idx = _event_indices(grid, plan)
-    times = grid.times
-    ledger = copy.deepcopy(ledger)
-
+    on = grid.times[_bin_edges(grid, plan)]
+    off = np.append(on[1:], grid.t_end)
+    stored = ledger.amplitudes_by_bin()
+    amps = (np.array([stored.get(b, 0j) for b in report.emission_order], dtype=complex)
+            * np.array(report.emission_signs) * np.exp(-loss_rate * (on - on[0]) / 2.0)
+            * pulse_success_amplitude ** np.arange(1, len(on) + 1))
     two_tr = 2.0 * p.tau_R
-    emit_scale = math.sqrt(p.tau_E / p.tau_R)
+    emitted = amps * np.sqrt(1.0 - np.exp(-(off - on) / p.tau_R))
+    leftover = amps * np.exp(-(off - on) / two_tr)
     # emitting slots; a leading empty slot at -inf keeps every lookup in range
-    on, off, amps = [-math.inf], [-math.inf], [0j]
-    bins_out: list[int] = []
-    emitted: list[complex] = []
-    for k, idx in enumerate(cut_idx):
-        ledger.apply_mask(plan.events[k].mask,
-                          success_amplitude=pulse_success_amplitude)
-        t_on = times[idx]
-        t_off = times[cut_idx[k + 1]] if k + 1 < len(cut_idx) else grid.t_end
-        amp = ledger.active_amplitude
-        if loss_rate:
-            ledger.decay_stored(math.exp(-loss_rate * (t_off - t_on) / 2.0))
-        if amp == 0.0:
-            continue
-        on.append(t_on)
-        off.append(t_off)
-        amps.append(amp)
-        bins_out.append(ledger.active_bin if ledger.active_bin is not None else -1)
-        emitted.append(amp * math.sqrt(1.0 - math.exp(-(t_off - t_on) / p.tau_R)))
-        ledger.active_amplitude = amp * np.exp(-(t_off - t_on) / two_tr)
-
-    on, off, amps = np.array(on), np.array(off), np.array(amps, dtype=complex)
+    live = np.flatnonzero(amps)
+    on, off = np.append(-math.inf, on[live]), np.append(-math.inf, off[live])
+    slot_amps = np.append(0j, amps[live])
+    emit_scale = math.sqrt(p.tau_E / p.tau_R)
 
     def shape(t):
         t = np.asarray(t, dtype=float)
         j = np.searchsorted(on, t, side="right") - 1
         inside = t < off[j]
         lag = np.where(inside, t - on[j], 0.0)
-        return np.where(inside, emit_scale * amps[j] * np.exp(-lag / two_tr), 0.0)
+        return np.where(inside, emit_scale * slot_amps[j] * np.exp(-lag / two_tr), 0.0)
 
     bps = tuple(t for pair in zip(on[1:], off[1:]) for t in pair)
-    output = WavePacket(grid, shape(times), shape=shape, breakpoints=bps)
-    return output, ReadRecord(tuple(bins_out), tuple(emitted),
-                              ledger.active_amplitude)
+    output = WavePacket(grid, shape(grid.times), shape=shape, breakpoints=bps)
+    return output, ReadRecord(tuple(report.emission_order[i] for i in live),
+                              tuple(emitted[live].tolist()),
+                              tuple(leftover[live].tolist()))
 
 
 def _bin_input_amplitudes(f_in: WavePacket, plan: PulsePlan,
                           p: EnsembleParams) -> dict[int, complex]:
     """Per-bin complex amplitude of the input packet, sqrt(norm) with the
-    bin's mean phase; bins are delimited by the write plan's events."""
+    bin's mean phase; bins end at the write plan's bin edges."""
     grid = f_in.grid
-    cuts = [0, *_event_indices(grid, plan)]
+    cuts = [0, *_bin_edges(grid, plan)]
     out: dict[int, complex] = {}
     for n, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
         norm = packet_norm(_slice_packet(f_in, a, b), p)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,15 @@ _BAD_VALUES = {
                                 "atom_count"),
     "state_atoms_not_integral": ({"scenario": "rates", "states": {"atom_count": 15.5}},
                                  "atom_count"),
+    "time_reversed_string": (dict(STORE, schedule={"time_reversed": "false"}),
+                             "time_reversed"),
+    "passive_string": ({"scenario": "schedule", "ensemble": ENSEMBLE,
+                        "schedule": {"passive": "false"}}, "passive"),
+    "initial_not_list": ({"scenario": "threelevel", "threelevel": {"initial": "x"}},
+                         "initial"),
+    "alpha_not_numeric": ({"scenario": "qubit", "ensemble": ENSEMBLE,
+                           "qubit": {"alpha_re": "x"}}, "alpha_re"),
+    "names_not_list": ({"scenario": "rates", "states": {"names": "one_sym"}}, "names"),
 }
 
 
@@ -261,3 +274,12 @@ def test_store_grid_snaps_to_bin(tmp_path, capsys, params):
     x = 3e-6 / params.tau_R
     want = (2 * (1 - math.exp(-x / 2))) ** 2 / x
     assert json.loads(out)["report"]["write_efficiency"] == pytest.approx(want, abs=1e-9)
+
+
+def test_cli_import_needs_no_scipy():
+    # scipy is a test-only dependency; the installed program must run without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, subradiance.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -109,6 +109,13 @@ def test_json_round_trip():
     assert back == plan
 
 
+def test_json_rejects_unknown_mask_character():
+    text = plan_write(4, 3, 1.0).to_json().replace('"+--+"', '"+x+-"')
+    assert '"+x+-"' in text
+    with pytest.raises(DomainError, match="'\\+x\\+-'"):
+        PulsePlan.from_json(text)
+
+
 def test_passive_patterns_four_parts():
     w = plan_passive(4, 3, 1.0, stage="write")
     # initial all-off, then: all on; B,D on; A,C on (-1 = on)

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from subradiance import (ModeLedger, PlanError, SignPattern, end_to_end,
-                         make_grid, packet_norm, plan_read, plan_write,
+                         make_grid, packet_norm, plan_passive, plan_read, plan_write,
                          WavePacket, rectangular_packet, rising_exponential,
                          simulate_read, simulate_write, timebin_qubit_fidelity,
                          timebin_qubit_report, verify_plan)
@@ -19,11 +20,11 @@ def _rect_setup(params, bins=3, bin_in_tau_r=2.5, time_reversed=True):
     return f_in, write, read
 
 
-def _piecewise_setup(params, amps, parts, time_reversed):
+def _piecewise_setup(params, amps, parts, time_reversed, bin_in_tau_r=2.5):
     """Analytic piecewise-constant input carrying photon amplitude amps[n]
-    in bin n + 1, stored over ``parts`` parts in 2.5 tau_R bins."""
+    in bin n + 1, stored over ``parts`` parts in equal bins."""
     bins = len(amps)
-    bd = 2.5 * params.tau_R
+    bd = bin_in_tau_r * params.tau_R
     write = plan_write(parts, bins, bd)
     read = plan_read(parts, bins, bd, time_reversed=time_reversed,
                      t0=write.t_end)
@@ -104,6 +105,82 @@ def test_ledger_releases_bins_as_verifier_predicts(parts):
             assert not ledger.entries
 
 
+def _decay(ledger, rate, duration):
+    for e in ledger.entries:
+        e.amplitude *= math.exp(-rate * duration / 2.0)
+
+
+@pytest.mark.parametrize("parts", [2, 4, 8, 16, 32])
+def test_closed_form_matches_ledger_replay(params, parts):
+    # stored and emitted amplitudes against a mask-by-mask ledger replay,
+    # with storage loss and pulse failure
+    rng = np.random.default_rng(parts)
+    loss, s = 0.3 / params.tau_R, 0.97
+    for bins in range(1, parts):
+        amps = rng.normal(size=bins) + 1j * rng.normal(size=bins)
+        f_in, write, _ = _piecewise_setup(params, amps / np.linalg.norm(amps), parts,
+                                          False, bin_in_tau_r=0.5)
+        captured = simulate_write(f_in, write, params)[0].amplitudes_by_bin()
+        ledger, _ = simulate_write(f_in, write, params, loss, s)
+        ref, t = ModeLedger(parts), f_in.grid.t0
+        for n, e in enumerate(write.events, start=1):
+            _decay(ref, loss, e.time - t)
+            ref.active_amplitude, ref.active_bin, t = captured[n], n, e.time
+            ref.apply_mask(e.mask, capture_bin=n, success_amplitude=s)
+        _decay(ref, loss, f_in.grid.t_end - t)
+        stored = ledger.amplitudes_by_bin()
+        want = ref.amplitudes_by_bin()
+        assert sorted(stored) == sorted(want) == list(range(1, bins + 1))
+        assert max(abs(stored[n] - want[n]) for n in want) < 1e-12
+        for time_reversed in (False, True):
+            read = plan_read(parts, bins, write.bin_duration,
+                             time_reversed=time_reversed, t0=write.t_end)
+            _, record = simulate_read(ledger, read, params, loss, dt=f_in.grid.dt,
+                                      write_plan=write, pulse_success_amplitude=s)
+            replay, emitted = copy.deepcopy(ref), {}
+            for e, t_off in zip(read.events, [*(e.time for e in read.events[1:]),
+                                              read.t_end]):
+                replay.apply_mask(e.mask, success_amplitude=s)
+                _decay(replay, loss, t_off - e.time)
+                amp, lag = replay.active_amplitude, (t_off - e.time) / params.tau_R
+                emitted[replay.active_bin] = amp * math.sqrt(1.0 - math.exp(-lag))
+                replay.active_amplitude = amp * math.exp(-lag / 2.0)
+            assert record.bins == tuple(emitted)
+            assert max(abs(a - b) for a, b in zip(record.emitted,
+                                                  emitted.values())) < 1e-12
+
+
+def test_passive_plans_store_and_recall_like_active(params):
+    bd = 2.5 * params.tau_R
+    write = plan_write(8, 5, bd)
+    grid = make_grid(params, write.t_end)
+    f_in = rectangular_packet(params, grid, 5 * bd)
+    loss, s = 0.05 / params.tau_R, 0.98
+    for time_reversed in (False, True):
+        read = plan_read(8, 5, bd, time_reversed, write.t_end)
+        active = end_to_end(f_in, write, read, params, loss, s)
+        passive_write = plan_passive(8, 5, bd, "write")
+        passive = end_to_end(f_in, passive_write,
+                             plan_passive(8, 5, bd, "read", time_reversed,
+                                          passive_write.t_end), params, loss, s)
+        for name in ("write_efficiency", "read_efficiency", "total_efficiency",
+                     "fidelity"):
+            assert abs(getattr(passive, name) - getattr(active, name)) < 1e-12
+        assert passive.emitted.keys() == active.emitted.keys()
+
+
+def test_read_rejects_ledger_of_another_write_plan(params):
+    bd = 2.5 * params.tau_R
+    write = plan_write(8, 5, bd)
+    f_in = rectangular_packet(params, make_grid(params, write.t_end), 5 * bd)
+    ledger, _ = simulate_write(f_in, write, params)
+    with pytest.raises(PlanError, match="not written by"):
+        simulate_read(ledger, plan_read(8, 3, bd, t0=write.t_end), params)
+    with pytest.raises(PlanError, match="not written by"):
+        simulate_read(ModeLedger(4), plan_read(8, 5, bd, t0=write.t_end), params,
+                      write_plan=write)
+
+
 # ---------------------------------------------------------------------------
 # write stage
 # ---------------------------------------------------------------------------
@@ -160,6 +237,19 @@ def test_read_releases_in_plan_order(params):
     fwd_read = plan_read(4, 3, 2.5 * params.tau_R, t0=write.t_end)
     _, record2 = simulate_read(ledger, fwd_read, params, write_plan=write)
     assert record2.bins == (1, 2, 3)
+
+
+def test_read_leftover_closes_the_photon_budget(params):
+    # at zero loss every stored photon is either emitted or parked again
+    bd = 2.5 * params.tau_R
+    write = plan_write(8, 5, bd)
+    f_in = rectangular_packet(params, make_grid(params, write.t_end), 5 * bd)
+    ledger, _ = simulate_write(f_in, write, params)
+    _, record = simulate_read(ledger, plan_read(8, 5, bd, t0=write.t_end), params,
+                              write_plan=write)
+    assert len(record.leftover) == len(record.emitted) == len(record.bins) == 5
+    budget = sum(abs(a) ** 2 for a in (*record.emitted, *record.leftover))
+    assert abs(ledger.stored_norm_sq() - budget) < 1e-12
 
 
 def test_end_to_end_efficiencies(params):
