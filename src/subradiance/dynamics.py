@@ -20,7 +20,8 @@ keep the genuine 4th-order convergence, a packet may carry an analytic
 expected to sit on grid nodes and are resolved by sampling each step's
 endpoints a hair inside the step.  Packets given only as samples have their
 half-step values reconstructed by 4-point cubic interpolation that never
-crosses a declared breakpoint.
+crosses a declared breakpoint.  Those cell values, sampled once, give the
+forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k] and the photon number.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class TimeGrid:
         if k < 0 or k >= self.n_samples or abs(self.t0 + k * self.dt - t) > 1e-6 * self.dt:
             raise GridError(f"time {t} is not a node of this grid")
         return k
-
-    def slice(self, i0: int, i1: int) -> "TimeGrid":
-        return TimeGrid(self.t0 + i0 * self.dt, self.dt, i1 - i0)
 
 
 @dataclass(frozen=True)
@@ -258,17 +256,15 @@ def _cell_values(f: WavePacket):
     return v0, vm, v1
 
 
-def _cellwise_integral(cell_values, dt: float) -> float | complex:
-    v0, vm, v1 = cell_values
-    return (dt / 6.0) * np.sum(v0 + 4.0 * vm + v1)
+def _photon_density(cell_values, dt: float, p: EnsembleParams) -> np.ndarray:
+    """Photon probability (1/tau_E) int |F|^2 over each grid step (Simpson)."""
+    v0, vm, v1 = (np.abs(v) ** 2 for v in cell_values)
+    return (dt / 6.0) * (v0 + 4.0 * vm + v1) / p.tau_E
 
 
 def packet_norm(f: WavePacket, p: EnsembleParams) -> float:
     """Photon-probability content (1/tau_E) int |F|^2 dt."""
-    v0, vm, v1 = _cell_values(f)
-    total = _cellwise_integral((np.abs(v0) ** 2, np.abs(vm) ** 2, np.abs(v1) ** 2),
-                               f.grid.dt)
-    return float(total.real) / p.tau_E
+    return float(np.sum(_photon_density(_cell_values(f), f.grid.dt, p)))
 
 
 def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
@@ -276,17 +272,20 @@ def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
     _require_same_grid(f.grid, g.grid)
     f0, fm, f1 = _cell_values(f)
     g0, gm, g1 = _cell_values(g)
-    total = _cellwise_integral((np.conj(f0) * g0, np.conj(fm) * gm, np.conj(f1) * g1),
-                               f.grid.dt)
+    total = (f.grid.dt / 6.0) * np.sum(
+        np.conj(f0) * g0 + 4.0 * (np.conj(fm) * gm) + np.conj(f1) * g1)
     return complex(total) / p.tau_E
+
+
+def _require_one_photon(norm: float, slack: float = 1e-6) -> float:
+    if norm > 1.0 + slack:
+        raise DomainError(f"packet norm {norm} exceeds one photon")
+    return norm
 
 
 def check_single_photon_norm(f: WavePacket, p: EnsembleParams,
                              slack: float = 1e-6) -> float:
-    norm = packet_norm(f, p)
-    if norm > 1.0 + slack:
-        raise DomainError(f"packet norm {norm} exceeds one photon")
-    return norm
+    return _require_one_photon(packet_norm(f, p), slack)
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
@@ -299,21 +298,16 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
 # Integration of the local law and the field output relation
 # ---------------------------------------------------------------------------
 
-def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
-    """Integrate dc/dt = -c/(2 tau_R) - F_in/sqrt(tau_R tau_E) from c(t0)=c0."""
-    grid = f_in.grid
-    if grid.dt > p.tau_R * MAX_DT_IN_TAU_R:
+def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
+    """A and the forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]."""
+    if h > p.tau_R * MAX_DT_IN_TAU_R:
         raise RegimeError(
-            f"grid dt = {grid.dt:.3g} s too coarse: need dt <= tau_R/20 = "
+            f"grid dt = {h:.3g} s too coarse: need dt <= tau_R/20 = "
             f"{p.tau_R * MAX_DT_IN_TAU_R:.3g} s"
         )
-    if abs(c0) > 1.0 + 1e-9:
-        raise DomainError(f"|c0| = {abs(c0)} exceeds 1")
-
-    h = grid.dt
     a = -0.5 / p.tau_R
     s = -1.0 / np.sqrt(p.tau_R * p.tau_E)
-    b0, bm, b1 = (s * v for v in _cell_values(f_in))
+    b0, bm, b1 = (s * v for v in cell_values)
 
     # One RK4 step of the affine system is c' = A c + B with constant A;
     # the forcing weights below come from expanding the four stages.
@@ -321,15 +315,25 @@ def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> Amplit
     big_a = 1.0 + 2 * q + 2 * q**2 + (4.0 / 3.0) * q**3 + (2.0 / 3.0) * q**4
     w0 = 1.0 + 2 * q + 2 * q**2 + 2 * q**3
     wm = 4.0 + 4 * q + 2 * q**2
-    big_b = (h / 6.0) * (w0 * b0 + wm * bm + b1)
+    return big_a, (h / 6.0) * (w0 * b0 + wm * bm + b1)
 
-    c = np.empty(grid.n_samples, dtype=complex)
-    c[0] = c0
-    acc = complex(c0)
-    for k in range(grid.n_samples - 1):
-        acc = big_a * acc + big_b[k]
-        c[k + 1] = acc
-    return AmplitudeTrajectory(grid, c)
+
+def _rk4_recurrence(big_a, big_b: np.ndarray, c0: complex) -> np.ndarray:
+    """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node."""
+    c = np.empty(len(big_b) + 1, dtype=complex)
+    c[0] = acc = complex(c0)
+    for k, b in enumerate(big_b, start=1):
+        acc = big_a * acc + b
+        c[k] = acc
+    return c
+
+
+def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
+    """Integrate dc/dt = -c/(2 tau_R) - F_in/sqrt(tau_R tau_E) from c(t0)=c0."""
+    big_a, big_b = _rk4_forcing(_cell_values(f_in), f_in.grid.dt, p)
+    if abs(c0) > 1.0 + 1e-9:
+        raise DomainError(f"|c0| = {abs(c0)} exceeds 1")
+    return AmplitudeTrajectory(f_in.grid, _rk4_recurrence(big_a, big_b, c0))
 
 
 def output_field(f_in: WavePacket, traj: AmplitudeTrajectory,

@@ -7,22 +7,25 @@ decay (the 1/(N-2)-suppressed rates) can be switched on as a uniform
 amplitude loss for sensitivity studies; it defaults to zero.
 
 ``verify_plan`` is the only replay of the sign algebra: it fixes every read
-slot's bin and sign, for active and passive plans alike.  Write bins follow
-the RK4-integrated local law from zero and read slots decay freely; loss and
-pulse failure are scalar factors, so stored and emitted amplitudes are closed
+slot's bin and sign, for active and passive plans alike.  The write samples
+the input once: its cell values give the photon number per grid step (input
+norm, one-photon check, bin norms) and the RK4 forcing on which every bin
+integrates the local law from zero.  Read slots decay freely; loss and pulse
+failure are scalar factors, so stored and emitted amplitudes are closed
 forms.  ``ModeLedger.apply_mask`` is the mask-by-mask reference model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
-                       TimeGrid, WavePacket, check_single_photon_norm,
-                       evolve_amplitude, make_grid, output_field, packet_norm)
+                       TimeGrid, WavePacket, _cell_values, _photon_density,
+                       _require_one_photon, _rk4_forcing, _rk4_recurrence,
+                       make_grid, output_field)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
 from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
@@ -137,12 +140,6 @@ def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
         raise PlanError(f"plan events must sit on grid nodes: {exc}") from exc
 
 
-def _slice_packet(f: WavePacket, i0: int, i1: int) -> WavePacket:
-    grid = f.grid.slice(i0, i1 + 1)
-    return WavePacket(grid, f.samples[i0:i1 + 1], shape=f.shape,
-                      breakpoints=f.breakpoints)
-
-
 def _require_verified(plan: PulsePlan,
                       write_plan: PulsePlan | None = None) -> PlanReport:
     report = verify_plan(plan, write_plan)
@@ -166,19 +163,28 @@ def simulate_write(
     T the grid end).  Returns the ledger of stored amplitudes and the
     transmitted (not absorbed) packet on the input grid.
     """
+    return _write(f_in, plan, p, loss_rate, pulse_success_amplitude)[:2]
+
+
+def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
+           loss_rate: float, pulse_success_amplitude: float):
+    """``simulate_write`` on the input's cell values, sampled once; also
+    returns the input norm and the input's bin amplitudes."""
     _require_verified(plan)
-    check_single_photon_norm(f_in, p)
     grid = f_in.grid
+    cells = _cell_values(f_in)
+    density = _photon_density(cells, grid.dt, p)
+    in_norm = _require_one_photon(float(np.sum(density)))
     edges = _bin_edges(grid, plan)
     if edges and edges[0] == 0:
         raise PlanError("first write pulse coincides with the grid start")
+    big_a, big_b = _rk4_forcing(cells, grid.dt, p)
     c_full = np.empty(grid.n_samples, dtype=complex)
     captured = []
     for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
         if b > a:
-            traj = evolve_amplitude(_slice_packet(f_in, a, b), 0.0, p)
-            c_full[a:b + 1] = traj.c
-            captured.append(traj.c[-1])
+            c_full[a:b + 1] = _rk4_recurrence(big_a, big_b[a:b], 0.0)
+            captured.append(c_full[b])
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
     stored = (np.array(captured[:len(edges)], dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
@@ -190,10 +196,17 @@ def simulate_write(
         LedgerEntry(n, row, a)
         for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
     ledger._product = product
-    transmitted = output_field(f_in, AmplitudeTrajectory(grid, c_full), p)
     bps = tuple(sorted(set(f_in.breakpoints) | {e.time for e in plan.events}))
-    transmitted = WavePacket(grid, transmitted.samples, breakpoints=bps)
-    return ledger, transmitted
+    transmitted = replace(output_field(f_in, AmplitudeTrajectory(grid, c_full), p),
+                          breakpoints=bps)
+    # input bin n: sqrt of its photon number, with the mean phase of its
+    # samples (node b opens the next bin and holds its value)
+    f_bins = {}
+    for n, (a, b) in enumerate(zip([0, *edges], edges), start=1):
+        mean = np.mean(f_in.samples[a:b])
+        phase = mean / abs(mean) if abs(mean) > 0 else 1.0
+        f_bins[n] = math.sqrt(max(np.sum(density[a:b]), 0.0)) * phase
+    return ledger, transmitted, in_norm, f_bins
 
 
 def simulate_read(
@@ -252,22 +265,6 @@ def simulate_read(
                               tuple(leftover[live].tolist()))
 
 
-def _bin_input_amplitudes(f_in: WavePacket, plan: PulsePlan,
-                          p: EnsembleParams) -> dict[int, complex]:
-    """Per-bin complex amplitude of the input packet, sqrt(norm) with the
-    bin's mean phase; bins end at the write plan's bin edges."""
-    grid = f_in.grid
-    cuts = [0, *_bin_edges(grid, plan)]
-    out: dict[int, complex] = {}
-    for n, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
-        norm = packet_norm(_slice_packet(f_in, a, b), p)
-        # node b opens the next bin and holds its value
-        mean = np.mean(f_in.samples[a:b])
-        phase = mean / abs(mean) if abs(mean) > 0 else 1.0
-        out[n] = math.sqrt(max(norm, 0.0)) * phase
-    return out
-
-
 def end_to_end(
     f_in: WavePacket,
     write_plan: PulsePlan,
@@ -277,16 +274,14 @@ def end_to_end(
     pulse_success_amplitude: float = 1.0,
 ) -> StorageReport:
     """Write ``f_in`` into subradiant modes, read it back, and score it."""
-    ledger, transmitted = simulate_write(
+    ledger, transmitted, in_norm, f_bins = _write(
         f_in, write_plan, p, loss_rate, pulse_success_amplitude)
     captured = ledger.amplitudes_by_bin()
     stored_sq = ledger.stored_norm_sq()
-    in_norm = packet_norm(f_in, p)
     output, record = simulate_read(
         ledger, read_plan, p, loss_rate, dt=f_in.grid.dt,
         write_plan=write_plan, pulse_success_amplitude=pulse_success_amplitude)
     emitted_sq = sum(abs(e) ** 2 for e in record.emitted)
-    f_bins = _bin_input_amplitudes(f_in, write_plan, p)
 
     fidelity = None
     bin_err = None

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -303,6 +304,23 @@ def test_recall_of_random_complex_bins_is_exact(params):
     f_in, write, read = _piecewise_setup(params, amps, 8, time_reversed=True)
     rep = end_to_end(f_in, write, read, params)
     assert abs(rep.fidelity - 1.0) < 1e-12
+
+
+def test_end_to_end_samples_the_input_shape_once(params):
+    # one write pass: the photon check, the input and bin norms and the
+    # integrator all read the three cell-value arrays sampled at its start
+    f_in, write, read = _piecewise_setup(params, [0.6, 0.48j, -0.64], 4,
+                                         time_reversed=True)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f_in.shape(t)
+
+    rep = end_to_end(dataclasses.replace(f_in, shape=counted), write, read, params)
+    assert len(calls) <= 3
+    assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert rep.input_norm == pytest.approx(packet_norm(f_in, params), abs=1e-15)
 
 
 def test_pulse_failure_scales_per_bin(params):
