@@ -158,8 +158,8 @@ def rectangular_packet(p: EnsembleParams, grid: TimeGrid, tau_ph: float,
         t = np.asarray(t, dtype=float)
         return np.where((t >= t_start) & (t < t_stop), amp, 0.0).astype(complex)
 
-    return WavePacket(grid, shape(grid.times), shape=shape,
-                      breakpoints=(t_start, t_stop))
+    bps = (t_start, t_stop)
+    return WavePacket(grid, _node_samples(shape, grid, bps), shape=shape, breakpoints=bps)
 
 
 def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WavePacket:
@@ -176,7 +176,8 @@ def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WaveP
         return np.where(t < t_end, amp * np.exp(np.minimum(t - t_end, 0.0) / two_tr),
                         0.0).astype(complex)
 
-    return WavePacket(grid, shape(grid.times), shape=shape, breakpoints=(t_end,))
+    return WavePacket(grid, _node_samples(shape, grid, (t_end,)), shape=shape,
+                      breakpoints=(t_end,))
 
 
 def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
@@ -198,6 +199,17 @@ def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
         if 0 < k < grid.n_samples and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
             nodes.add(int(k))
     return nodes
+
+
+def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:
+    """Node values of ``shape``, right-sided at the breakpoint nodes: those
+    are sampled a nudge to the right, since a node's grid time may round just
+    below its breakpoint."""
+    samples = np.array(shape(grid.times), dtype=complex)
+    jumps = sorted(_jump_nodes(grid, breakpoints))
+    if jumps:
+        samples[jumps] = shape(grid.times[jumps] + _EDGE_NUDGE * grid.dt)
+    return samples
 
 
 def _cubic_midpoints(y: np.ndarray) -> np.ndarray:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
-                       TimeGrid, WavePacket, _cell_values, _photon_density,
-                       _require_one_photon, _rk4_forcing, _rk4_recurrence,
-                       make_grid, output_field)
+                       TimeGrid, WavePacket, _cell_values, _node_samples,
+                       _photon_density, _require_one_photon, _rk4_forcing,
+                       _rk4_recurrence, make_grid, output_field)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
 from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
@@ -343,7 +343,8 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
                         0.0)
         return alpha * np.asarray(early.shape(t), dtype=complex) + beta * late
 
-    f_in = WavePacket(grid, shape(grid.times), shape=shape, breakpoints=(t1, t2))
+    f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2)), shape=shape,
+                      breakpoints=(t1, t2))
     write = plan_write(4, 2, separation)
     read = plan_read(4, 2, separation, time_reversed=time_reversed, t0=t2)
     return f_in, write, read

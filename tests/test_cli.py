@@ -99,6 +99,20 @@ def test_scatter_table_output(tmp_path, capsys):
     assert len(lines) > 1000
 
 
+def test_scatter_packet_end_node_is_right_sided(tmp_path, capsys):
+    # on this ensemble the grid time of the 1 tau_R packet's end node rounds
+    # just below the end; the node must still hold the value after the jump
+    doc = {"scenario": "scatter",
+           "ensemble": dict(ENSEMBLE, beam_diameter=102.802e-6, atom_count=39512900),
+           "input": {"duration": "1 tau_R", "grid_duration": "6 tau_R"}}
+    code, out, _ = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 0
+    rep = json.loads(out)["report"]
+    budget = rep["input_norm"] - rep["final_excitation"]
+    assert budget == pytest.approx(0.9958273748, abs=1e-10)
+    assert rep["output_norm"] == pytest.approx(budget, abs=1e-9)
+
+
 def test_byte_deterministic_output(tmp_path, capsys):
     doc = {"scenario": "store", "ensemble": ENSEMBLE}
     _, out1, _ = _run(tmp_path, capsys, doc)
