@@ -31,10 +31,6 @@ _TIME_UNITS = {
     "fs": 1e-15,
 }
 
-_SCENARIOS = ("params", "scatter", "store", "qubit", "rates", "schedule",
-              "threelevel")
-
-
 def parse_time(value, p=None) -> float:
     """Parse a duration: a bare number (seconds), or a string with a unit
     suffix (``"20 ns"``); ``"tau_R"`` units resolve against derived params."""
@@ -191,26 +187,30 @@ def _params_report(p) -> dict:
     }
 
 
-def _scenario_params(cfg, p, args):
+def _scenario_params(cfg, p):
     report = {"parameters": _params_report(p)}
     if "target_tau_R" in cfg:
         target = parse_time(cfg["target_tau_R"], p)
         report["density_for_target_tau_R"] = density_for_tau_r(
             _ensemble_input(cfg), target)
     dur = parse_time(cfg.get("packet_duration", "2.5 tau_R"), p)
+    pit_width = None
+    if cfg.get("pit_width") is not None:
+        # bounded below by the smallest positive float: a pit_width > 0
+        pit_width = _bounded(cfg, "pit_width", math.ulp(0.0))
     warnings = validate_regime(p, packet_duration=dur,
                                pulse_duration=parse_time(
                                    cfg.get("pulse_duration", 0.0), p),
-                               pit_width=cfg.get("pit_width"))
+                               pit_width=pit_width)
     report["regime_warnings"] = warnings
     capture_dur, capture_eff = optimize_capture(p)
     report["optimal_capture"] = {"duration": capture_dur,
                                  "amplitude": capture_eff,
                                  "efficiency": capture_eff ** 2}
-    return report, warnings
+    return report, warnings, None
 
 
-def _scenario_scatter(cfg, p, args):
+def _scenario_scatter(cfg, p):
     from .dynamics import evolve_amplitude, output_field
     f_in, dur = _input_packet(cfg, p, "6 tau_R")
     warnings = validate_regime(p, packet_duration=dur)
@@ -243,7 +243,7 @@ def _active_plans(parts, bins, bin_dur, reversed_):
                             t0=write.t_end)
 
 
-def _scenario_store(cfg, p, args):
+def _scenario_store(cfg, p):
     _, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, True)
     write, read = _active_plans(parts, bins, bin_dur, reversed_)
     grid = _bin_grid(p, bin_dur, write.t_end)
@@ -267,10 +267,10 @@ def _scenario_store(cfg, p, args):
         "bin_probability_error": report_obj.bin_probability_error,
         "regime_warnings": warnings,
     }
-    return report, warnings
+    return report, warnings, None
 
 
-def _scenario_qubit(cfg, p, args):
+def _scenario_qubit(cfg, p):
     blk = _block(cfg, "qubit")
     alpha = _complex(blk, "alpha", 1 / math.sqrt(2))
     beta = _complex(blk, "beta", 1 / math.sqrt(2))
@@ -288,10 +288,10 @@ def _scenario_qubit(cfg, p, args):
         "read_efficiency": rep.read_efficiency,
         "regime_warnings": warnings,
     }
-    return report, warnings
+    return report, warnings, None
 
 
-def _scenario_rates(cfg, p, args):
+def _scenario_rates(cfg, p):
     blk = _block(cfg, "states")
     names = _strings(blk, "names", ["one_sym", "two_sym", "one_AminusB",
                                     "two_AminusB", "two_prime", "two_ABCD"])
@@ -301,10 +301,10 @@ def _scenario_rates(cfg, p, args):
     for name in names:
         state = named_state(name, n_atoms)
         rates[name] = emission_rate(state, p) / unit
-    return {"atom_count": n_atoms, "rates_in_units_of_mu_over_t1": rates}, []
+    return {"atom_count": n_atoms, "rates_in_units_of_mu_over_t1": rates}, [], None
 
 
-def _scenario_schedule(cfg, p, args):
+def _scenario_schedule(cfg, p):
     blk, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, False)
     if _flag(blk, "passive", False):
         write = plan_passive(parts, bins, bin_dur, stage="write")
@@ -324,10 +324,10 @@ def _scenario_schedule(cfg, p, args):
                         for n, row in enumerate(wrep.final_rows, start=1)},
         "emission_order": list(rrep.emission_order),
         "emission_signs": list(rrep.emission_signs),
-    }, []
+    }, [], None
 
 
-def _scenario_threelevel(cfg, p, args):
+def _scenario_threelevel(cfg, p):
     blk = _block(cfg, "threelevel")
     try:
         drive = DriveConfig(g_a=_bounded(blk, "g_a", default=1.0),
@@ -351,10 +351,22 @@ def _scenario_threelevel(cfg, p, args):
         "transfer_time": transfer_time(drive),
         "final_populations": list(out.populations),
         "failure_probability": failure_probability(state.amplitudes[0], drive),
-    }, []
+    }, [], None
 
 
-def _run_scenario(name, cfg, args):
+# Each scenario maps (config, derived parameters) to (report, warnings, table).
+_SCENARIOS = {
+    "params": _scenario_params,
+    "scatter": _scenario_scatter,
+    "store": _scenario_store,
+    "qubit": _scenario_qubit,
+    "rates": _scenario_rates,
+    "schedule": _scenario_schedule,
+    "threelevel": _scenario_threelevel,
+}
+
+
+def _run_scenario(name, cfg):
     if name in ("rates", "threelevel") and "ensemble" not in cfg:
         # these scenarios only need mu/T1 ratios or no ensemble at all
         cfg = dict(cfg)
@@ -363,25 +375,7 @@ def _run_scenario(name, cfg, args):
             "excited_lifetime": 164e-6, "beam_diameter": 100e-6,
             "atom_count": 10 ** 7,
         }
-    p = derive_params(_ensemble_input(cfg))
-    table = None
-    if name == "params":
-        report, warnings = _scenario_params(cfg, p, args)
-    elif name == "scatter":
-        report, warnings, table = _scenario_scatter(cfg, p, args)
-    elif name == "store":
-        report, warnings = _scenario_store(cfg, p, args)
-    elif name == "qubit":
-        report, warnings = _scenario_qubit(cfg, p, args)
-    elif name == "rates":
-        report, warnings = _scenario_rates(cfg, p, args)
-    elif name == "schedule":
-        report, warnings = _scenario_schedule(cfg, p, args)
-    elif name == "threelevel":
-        report, warnings = _scenario_threelevel(cfg, p, args)
-    else:
-        raise ConfigError(f"unknown scenario {name!r}")
-    return report, warnings, table
+    return _SCENARIOS[name](cfg, derive_params(_ensemble_input(cfg)))
 
 
 def _apply_sweep(cfg: dict, path: str, value: float) -> dict:
@@ -456,7 +450,7 @@ def main(argv=None) -> int:
     table = None
     try:
         for value, one_cfg in runs:
-            report, warnings, t = _run_scenario(scenario, one_cfg, args)
+            report, warnings, t = _run_scenario(scenario, one_cfg)
             all_warnings.extend(warnings)
             if t is not None:
                 table = t

@@ -61,6 +61,8 @@ _EDGE_NUDGE = 1e-7
 
 DEFAULT_STEPS_PER_TAU_R = 200
 MAX_DT_IN_TAU_R = 1.0 / 20.0
+# Largest grid make_grid builds: 160 MB per complex array.
+_MAX_GRID_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,12 @@ def make_grid(p: EnsembleParams, duration: float, t0: float = 0.0,
     """Grid covering [t0, t0+duration] at the default resolution tau_R/200."""
     if dt is None:
         dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R
-    n = int(round(duration / dt)) + 1
-    return TimeGrid(t0, dt, n)
+    steps = duration / dt
+    # checked before anything is allocated; an infinite or NaN count fails too
+    if not steps < _MAX_GRID_SAMPLES:
+        raise GridError(f"a grid of {steps:.3g} steps exceeds the limit of "
+                        f"{_MAX_GRID_SAMPLES:.0e} samples")
+    return TimeGrid(t0, dt, int(round(steps)) + 1)
 
 
 def zero_packet(grid: TimeGrid) -> WavePacket:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -285,10 +285,18 @@ class PlanReport:
 
     ok: bool
     violations: tuple[str, ...]
-    final_rows: tuple[str, ...] = ()
     emission_order: tuple[int, ...] = ()
     emission_signs: tuple[int, ...] = ()
     orthogonality: np.ndarray | None = None
+    # +-1 rows a write plan stores its bins in, one per bin
+    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def final_rows(self) -> tuple[str, ...]:
+        """The stored rows as "+"/"-" strings, formatted when read."""
+        if self._rows is None:
+            return ()
+        return tuple("".join(r) for r in np.where(self._rows > 0, "+", "-"))
 
 
 def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanReport:
@@ -329,9 +337,8 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
         gram = rows @ rows.T
         if np.any(gram - np.diag(np.diag(gram))):
             violations.append("stored rows are not pairwise orthogonal")
-        final = tuple("".join(r) for r in np.where(rows > 0, "+", "-"))
-        return PlanReport(not violations, tuple(violations), final_rows=final,
-                          orthogonality=gram)
+        return PlanReport(not violations, tuple(violations), orthogonality=gram,
+                          _rows=rows)
 
     read_masks, _ = _flip_masks(plan, write_end)
     hits = _emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))

@@ -261,6 +261,13 @@ _BAD_VALUES = {
     "alpha_not_numeric": ({"scenario": "qubit", "ensemble": ENSEMBLE,
                            "qubit": {"alpha_re": "x"}}, "alpha_re"),
     "names_not_list": ({"scenario": "rates", "states": {"names": "one_sym"}}, "names"),
+    "pit_width_not_numeric": ({"scenario": "params", "ensemble": ENSEMBLE,
+                               "pit_width": "x"}, "pit_width"),
+    "pit_width_negative": ({"scenario": "params", "ensemble": ENSEMBLE,
+                            "pit_width": -5}, "pit_width"),
+    # 2e11 steps per bin: refused before any array is allocated
+    "grid_oversized": ({"scenario": "qubit", "ensemble": ENSEMBLE,
+                        "qubit": {"separation": "1e9 tau_R"}}, "samples"),
 }
 
 
