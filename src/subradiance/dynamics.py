@@ -325,7 +325,7 @@ def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
         )
     a = -0.5 / p.tau_R
     s = -1.0 / np.sqrt(p.tau_R * p.tau_E)
-    b0, bm, b1 = (s * v for v in cell_values)
+    v0, vm, v1 = cell_values
 
     # One RK4 step of the affine system is c' = A c + B with constant A;
     # the forcing weights below come from expanding the four stages.
@@ -333,7 +333,15 @@ def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
     big_a = 1.0 + 2 * q + 2 * q**2 + (4.0 / 3.0) * q**3 + (2.0 / 3.0) * q**4
     w0 = 1.0 + 2 * q + 2 * q**2 + 2 * q**3
     wm = 4.0 + 4 * q + 2 * q**2
-    return big_a, (h / 6.0) * (w0 * b0 + wm * bm + b1)
+    # B = (h/6)(w0 s v0 + wm s vm + s v1), built in place: two arrays at a time
+    big_b = s * v0
+    big_b *= w0
+    tmp = s * vm
+    tmp *= wm
+    big_b += tmp
+    big_b += np.multiply(s, v1, out=tmp)
+    big_b *= h / 6.0
+    return big_a, big_b
 
 
 def _rk4_recurrence(big_a, big_b: np.ndarray, c0: complex) -> np.ndarray:

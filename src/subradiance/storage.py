@@ -179,6 +179,7 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     if edges and edges[0] == 0:
         raise PlanError("first write pulse coincides with the grid start")
     big_a, big_b = _rk4_forcing(cells, grid.dt, p)
+    del cells  # three grid-length arrays, not needed in the bin loop
     c_full = np.empty(grid.n_samples, dtype=complex)
     captured = []
     for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
