@@ -34,6 +34,13 @@ _TIME_UNITS = {
 def parse_time(value, p=None) -> float:
     """Parse a duration: a bare number (seconds), or a string with a unit
     suffix (``"20 ns"``); ``"tau_R"`` units resolve against derived params."""
+    seconds = _seconds(value, p)
+    if not math.isfinite(seconds):
+        raise ConfigError(f"time value {value!r} is not finite")
+    return seconds
+
+
+def _seconds(value, p) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, str):

@@ -164,8 +164,8 @@ def rectangular_packet(p: EnsembleParams, grid: TimeGrid, tau_ph: float,
         t = np.asarray(t, dtype=float)
         return np.where((t >= t_start) & (t < t_stop), amp, 0.0).astype(complex)
 
-    bps = (t_start, t_stop)
-    return WavePacket(grid, _node_samples(shape, grid, bps), shape=shape, breakpoints=bps)
+    return WavePacket(grid, _node_samples(shape, grid, (t_start, t_stop)),
+                      shape=shape, breakpoints=(t_start, t_stop))
 
 
 def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WavePacket:

@@ -265,6 +265,10 @@ _BAD_VALUES = {
                                "pit_width": "x"}, "pit_width"),
     "pit_width_negative": ({"scenario": "params", "ensemble": ENSEMBLE,
                             "pit_width": -5}, "pit_width"),
+    "time_not_finite": ({"scenario": "qubit", "ensemble": ENSEMBLE,
+                         "qubit": {"separation": "nan tau_R"}}, "not finite"),
+    "time_infinite": (dict(STORE, input={"kind": "rising_exponential", "end": 1e400}),
+                      "not finite"),
     # 2e11 steps per bin: refused before any array is allocated
     "grid_oversized": ({"scenario": "qubit", "ensemble": ENSEMBLE,
                         "qubit": {"separation": "1e9 tau_R"}}, "samples"),
