@@ -81,7 +81,9 @@ class SignPattern:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
+        # tuple.count tests with ==, as ``in`` does, so 1.0 counts as 1
+        signs = self.signs
+        if not signs or signs.count(1) + signs.count(-1) != len(signs):
             raise DomainError("sign pattern entries must be +1 or -1")
 
     def __len__(self) -> int:

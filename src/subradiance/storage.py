@@ -25,7 +25,8 @@ import numpy as np
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
                        TimeGrid, WavePacket, _cell_values, _node_samples,
                        _photon_density, _require_one_photon, _rk4_forcing,
-                       _rk4_recurrence, make_grid, output_field)
+                       _rising_shape, _rk4_recurrence, make_grid,
+                       output_field)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
 from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
@@ -324,7 +325,6 @@ def _bin_grid(p: EnsembleParams, bin_duration: float, duration: float) -> TimeGr
 
 def _timebin_setup(alpha: complex, beta: complex, separation: float,
                    p: EnsembleParams, time_reversed: bool):
-    from .dynamics import rising_exponential
     from .schedule import plan_read, plan_write
 
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
@@ -333,16 +333,14 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
         raise PlanError("time bins must be separated by at least 10 tau_R")
     t1, t2 = separation, 2.0 * separation
     grid = _bin_grid(p, separation, t2)
-    early = rising_exponential(t1, p, grid)
+    early = _rising_shape(t1, p)
 
     def shape(t):
         t = np.asarray(t, dtype=float)
         # the late bin is the early packet delayed by one separation,
         # truncated to its own window so the bins stay orthogonal
-        late = np.where(t > t1,
-                        np.asarray(early.shape(t - separation), dtype=complex),
-                        0.0)
-        return alpha * np.asarray(early.shape(t), dtype=complex) + beta * late
+        late = np.where(t > t1, early(t - separation), 0.0)
+        return alpha * early(t) + beta * late
 
     f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2)), shape=shape,
                       breakpoints=(t1, t2))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from subradiance import (DomainError, GridError, RegimeError, WavePacket,
+from subradiance import (DomainError, GridError, RegimeError, TimeGrid, WavePacket,
                          closed_form_rectangular, closed_form_rising,
                          evolve_amplitude, forward_scatter, make_grid,
                          optimize_capture, output_field, packet_from_samples,
                          packet_norm, packet_overlap, rectangular_packet,
                          rising_exponential, trajectory_table, zero_packet)
+from subradiance.dynamics import _rk4_forcing, _rk4_recurrence
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,38 @@ def test_initial_amplitude_free_decay(params):
     traj = evolve_amplitude(zero_packet(grid), 0.6, params)
     want = 0.6 * np.exp(-(grid.times - grid.t0) / (2 * params.tau_R))
     assert np.max(np.abs(traj.c - want)) < 1e-11
+
+
+def _step_loop(big_a, big_b, c0):
+    c = [complex(c0)]
+    for b in big_b:
+        c.append(big_a * c[-1] + b)
+    return np.array(c)
+
+
+def test_rk4_recurrence_matches_step_loop(params):
+    """The blocked scan against the plain step-by-step recurrence."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for steps_per_tau_r in (200, 20):
+        dt = params.tau_R / steps_per_tau_r
+        big_a, _ = _rk4_forcing((np.zeros(0),) * 3, dt, params)
+        block = int(-1.0 / np.log(big_a))
+        cases += [(dt, n) for n in (0, 1, block - 1, block, block + 1, 80_000)]
+    # a step so small that A rounds to 1.0
+    tiny = TimeGrid(0.0, params.tau_R * 1e-17, 1001)
+    cases.append((tiny.dt, tiny.n_samples - 1))
+    for dt, n in cases:
+        cells = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+        big_a, big_b = _rk4_forcing(cells, dt, params)
+        if dt == tiny.dt:
+            assert big_a == 1.0
+        for c0 in (0.0, 0.6 * np.exp(0.3j)):
+            want = _step_loop(big_a, big_b, c0)
+            with np.errstate(all="raise"):
+                got = _rk4_recurrence(big_a, big_b, c0)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

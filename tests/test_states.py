@@ -155,8 +155,9 @@ def test_full_basis_cap():
 def test_bad_inputs():
     with pytest.raises(DomainError):
         Partition((0, 2))
-    with pytest.raises(DomainError):
-        SignPattern((1, 0))
+    for signs in [(1, 0), (), (2,), (1, -1, 0)]:
+        with pytest.raises(DomainError):
+            SignPattern(signs)
     with pytest.raises(DomainError):
         named_state("nope", 8)
     with pytest.raises(DomainError):
