@@ -14,14 +14,19 @@ whose integral form is the memory-kernel convolution
 Equivalence of the two is the core correctness property of this module and
 is cross-checked against direct quadrature in the test suite.
 
-Integration uses a classical fixed-step 4th-order Runge-Kutta scheme.  To
-keep the genuine 4th-order convergence, a packet may carry an analytic
-``shape`` callable that is sampled at half steps; discontinuities are
-expected to sit on grid nodes and are resolved by sampling each step's
-endpoints a hair inside the step.  Packets given only as samples have their
-half-step values reconstructed by 4-point cubic interpolation that never
+Integration uses a classical fixed-step 4th-order Runge-Kutta scheme, which
+reads the packet at the start, middle and end of every step.  Step ends are
+the node samples, which hold the right-sided value at a breakpoint node;
+discontinuities are expected to sit on grid nodes.  To keep the genuine
+4th-order convergence, a packet may carry an analytic ``shape`` callable:
+it is sampled at the midpoints, and a hair inside the step on either side
+of every breakpoint node.  Packets given only as samples have their
+midpoint values reconstructed by 4-point cubic interpolation that never
 crosses a declared breakpoint.  Those cell values, sampled once, give the
 forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k] and the photon number.
+The analytic packets of this package (rectangular, rising exponential, the
+time-bin qubit, the read-out) are piecewise exponentials, sampled by one
+vectorized helper with one exponential per point.
 
 The recurrence runs as a blocked prefix scan in numpy (Blelloch 1990; Martin
 & Cundy 2018): within a block of L steps a cumulative sum of B[j] A^-j,
@@ -108,10 +113,12 @@ class TimeGrid:
 class WavePacket:
     """Complex dimensionless photon density samples on a uniform grid.
 
-    ``shape``, when present, is a vectorized callable t -> F(t) used for
-    half-step sampling and high-order quadrature.  ``breakpoints`` lists
-    times (expected on grid nodes) where F is allowed to jump; node samples
-    store the right-sided limit there.
+    ``samples`` are the node values the integrator and the quadratures read
+    as step ends.  ``shape``, when present, is a vectorized callable
+    t -> F(t) sampled at step midpoints, and on both sides of the
+    breakpoint nodes, for 4th-order integration and quadrature.
+    ``breakpoints`` lists times (expected on grid nodes) where F is allowed
+    to jump; node samples store the right-sided limit there.
     """
 
     grid: TimeGrid
@@ -168,11 +175,8 @@ def rectangular_packet(p: EnsembleParams, grid: TimeGrid, tau_ph: float,
         )
     amp = np.sqrt(p.tau_E / tau_ph)
     t_stop = t_start + tau_ph
-
-    def shape(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= t_start) & (t < t_stop), amp, 0.0).astype(complex)
-
+    shape = _exp_pieces([t_start, t_stop], [amp, 0.0], [np.inf, np.inf],
+                        [t_start, t_stop])
     return WavePacket(grid, _node_samples(shape, grid, (t_start, t_stop)),
                       shape=shape, breakpoints=(t_start, t_stop))
 
@@ -183,20 +187,40 @@ def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WaveP
     This is the shape whose absorption probability approaches unity;
     norm = 1 - e^{-(t_end - t0)/tau_R}.
     """
-    shape = _rising_shape(t_end, p)
+    shape = _exp_pieces([-np.inf, t_end], [np.sqrt(p.tau_E / p.tau_R), 0.0],
+                        [2.0 * p.tau_R, np.inf], [t_end, t_end])
     return WavePacket(grid, _node_samples(shape, grid, (t_end,)), shape=shape,
                       breakpoints=(t_end,))
 
 
-def _rising_shape(t_end: float, p: EnsembleParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``shape`` of ``rising_exponential``, without sampling a grid."""
-    amp = np.sqrt(p.tau_E / p.tau_R)
-    two_tr = 2.0 * p.tau_R
+def _exp_pieces(starts, amps, taus, refs) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized t -> amps[j] e^{(t - refs[j]) / taus[j]} on the right-sided
+    pieces starts[j] <= t < starts[j+1]: zero before starts[0], the last piece
+    runs on forever.  A tau is a signed time constant, inf on a constant
+    piece.  A rising piece's ref is its end and a decaying piece's its start,
+    so the exponent is <= 0 inside the piece: one np.exp per point that never
+    overflows (an inf times a zero amplitude would be nan)."""
+    starts = np.append(-np.inf, np.asarray(starts, dtype=float))
+    amps = np.append(0j, np.asarray(amps, dtype=complex))
+    taus = np.append(np.inf, np.asarray(taus, dtype=float))
+    refs = np.append(0.0, np.asarray(refs, dtype=float))
 
     def shape(t):
         t = np.asarray(t, dtype=float)
-        return np.where(t < t_end, amp * np.exp(np.minimum(t - t_end, 0.0) / two_tr),
-                        0.0).astype(complex)
+        flat = t.ravel()
+        # on sorted times every piece is one run of points; sort other input
+        order = None
+        if np.any(flat[1:] < flat[:-1]):
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+        counts = np.diff(np.searchsorted(flat, starts), append=len(flat))
+        x = flat - np.repeat(refs, counts)
+        x /= np.repeat(taus, counts)
+        np.exp(x, out=x)
+        out = np.repeat(amps, counts) * x
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(t.shape)
 
     return shape
 
@@ -260,21 +284,30 @@ def _cubic_left_limit(y: np.ndarray) -> complex:
 
 
 def _cell_values(f: WavePacket):
-    """Per-step (start, mid, end) values of a packet."""
-    grid = f.grid
+    """Per-step (start, mid, end) values of a packet.
+
+    Step ends come from the node samples, one-sided at breakpoint nodes;
+    midpoints from ``shape`` when there is one, else from cubics that never
+    cross a breakpoint.
+    """
+    grid, y = f.grid, f.samples
+    n = grid.n_samples
+    v0 = y[:-1].astype(complex)
+    v1 = y[1:].astype(complex)
+    jumps = _jump_nodes(grid, f.breakpoints)
     if f.shape is not None:
         times = grid.times
-        nudge = _EDGE_NUDGE * grid.dt
-        v0 = np.asarray(f.shape(times[:-1] + nudge), dtype=complex)
         vm = np.asarray(f.shape(times[:-1] + 0.5 * grid.dt), dtype=complex)
-        v1 = np.asarray(f.shape(times[1:] - nudge), dtype=complex)
+        if jumps:
+            # a nudge inside each step: a node's grid time may round to
+            # either side of its breakpoint
+            k = np.array(sorted(jumps))
+            nudge = _EDGE_NUDGE * grid.dt
+            v1[k - 1] = f.shape(times[k] - nudge)
+            k = k[k < n - 1]
+            v0[k] = f.shape(times[k] + nudge)
         return v0, vm, v1
-    y = f.samples
-    n = grid.n_samples
-    v0 = y[:-1].copy()
-    v1 = y[1:].copy()
     vm = np.empty(n - 1, dtype=complex)
-    jumps = _jump_nodes(grid, f.breakpoints)
     bounds = sorted(jumps | {0, n - 1})
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b in jumps:
@@ -390,9 +423,9 @@ def _rk4_recurrence(big_a, big_b: np.ndarray, c0: complex) -> np.ndarray:
 
 def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
     """Integrate dc/dt = -c/(2 tau_R) - F_in/sqrt(tau_R tau_E) from c(t0)=c0."""
-    big_a, big_b = _rk4_forcing(_cell_values(f_in), f_in.grid.dt, p)
     if abs(c0) > 1.0 + 1e-9:
         raise DomainError(f"|c0| = {abs(c0)} exceeds 1")
+    big_a, big_b = _rk4_forcing(_cell_values(f_in), f_in.grid.dt, p)
     return AmplitudeTrajectory(f_in.grid, _rk4_recurrence(big_a, big_b, c0))
 
 
@@ -485,10 +518,9 @@ def trajectory_table(f_in: WavePacket, traj: AmplitudeTrajectory,
     _require_same_grid(f_in.grid, traj.grid)
     _require_same_grid(f_in.grid, f_out.grid)
     lines = ["t\tre_f_in\tim_f_in\tre_c\tim_c\tre_f_out\tim_f_out"]
-    times = f_in.grid.times
-    for k in range(f_in.grid.n_samples):
-        row = (times[k], f_in.samples[k].real, f_in.samples[k].imag,
-               traj.c[k].real, traj.c[k].imag,
-               f_out.samples[k].real, f_out.samples[k].imag)
-        lines.append("\t".join(f"{v:.12g}" for v in row))
+    rows = np.column_stack([f_in.grid.times, f_in.samples.real, f_in.samples.imag,
+                            traj.c.real, traj.c.imag,
+                            f_out.samples.real, f_out.samples.imag]).tolist()
+    fmt = "\t".join(["%.12g"] * 7)
+    lines += [fmt % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"

@@ -49,14 +49,17 @@ __all__ = [
 
 
 def sylvester(order: int) -> np.ndarray:
-    """Sylvester-Hadamard matrix H_2k by the recursive block doubling."""
+    """Sylvester-Hadamard matrix: entry (i, j) is (-1)^popcount(i & j)."""
     if order < 2 or order & (order - 1):
         raise DomainError(f"order {order} is not a power of two >= 2")
-    h = np.array([[1]], dtype=np.int64)
-    block = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    while h.shape[0] < order:
-        h = np.kron(block, h)
-    return h
+    i = np.arange(order, dtype=np.int64)
+    bits = i[:, None] & i
+    # fold the parity of the index bits into bit 0
+    shift = 1
+    while shift < int(order).bit_length() - 1:
+        bits ^= bits >> shift
+        shift <<= 1
+    return 1 - 2 * (bits & 1)
 
 
 @dataclass(frozen=True)

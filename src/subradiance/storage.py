@@ -23,10 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
-                       TimeGrid, WavePacket, _cell_values, _node_samples,
-                       _photon_density, _require_one_photon, _rk4_forcing,
-                       _rising_shape, _rk4_recurrence, make_grid,
-                       output_field)
+                       TimeGrid, WavePacket, _cell_values, _exp_pieces,
+                       _node_samples, _photon_density, _require_one_photon,
+                       _rk4_forcing, _rk4_recurrence, make_grid, output_field)
 from .errors import GridError, PlanError
 from .params import EnsembleParams
 from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
@@ -235,10 +234,11 @@ def simulate_read(
                           _flip_masks(write, np.ones(plan.parts, dtype=np.int64))[1]):
         raise PlanError("ledger was not written by the read plan's write plan")
     if dt is None:
-        dt = p.tau_R / 200.0
+        dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R
     t0 = plan.events[0].time
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
-    on = grid.times[_bin_edges(grid, plan)]
+    times = grid.times
+    on = times[_bin_edges(grid, plan)]
     off = np.append(on[1:], grid.t_end)
     stored = ledger.amplitudes_by_bin()
     amps = (np.array([stored.get(b, 0j) for b in report.emission_order], dtype=complex)
@@ -247,21 +247,15 @@ def simulate_read(
     two_tr = 2.0 * p.tau_R
     emitted = amps * np.sqrt(1.0 - np.exp(-(off - on) / p.tau_R))
     leftover = amps * np.exp(-(off - on) / two_tr)
-    # emitting slots; a leading empty slot at -inf keeps every lookup in range
+    # each emitting slot decays from its start until the next mask parks it
     live = np.flatnonzero(amps)
-    on, off = np.append(-math.inf, on[live]), np.append(-math.inf, off[live])
-    slot_amps = np.append(0j, amps[live])
-    emit_scale = math.sqrt(p.tau_E / p.tau_R)
-
-    def shape(t):
-        t = np.asarray(t, dtype=float)
-        j = np.searchsorted(on, t, side="right") - 1
-        inside = t < off[j]
-        lag = np.where(inside, t - on[j], 0.0)
-        return np.where(inside, emit_scale * slot_amps[j] * np.exp(-lag / two_tr), 0.0)
-
-    bps = tuple(t for pair in zip(on[1:], off[1:]) for t in pair)
-    output = WavePacket(grid, shape(grid.times), shape=shape, breakpoints=bps)
+    edges = np.column_stack([on[live], off[live]]).ravel()
+    slot_amps = np.column_stack([math.sqrt(p.tau_E / p.tau_R) * amps[live],
+                                 np.zeros(len(live))]).ravel()
+    shape = _exp_pieces(edges, slot_amps, np.tile([-two_tr, math.inf], len(live)),
+                        edges)
+    bps = tuple(edges.tolist())
+    output = WavePacket(grid, shape(times), shape=shape, breakpoints=bps)
     return output, ReadRecord(tuple(report.emission_order[i] for i in live),
                               tuple(emitted[live].tolist()),
                               tuple(leftover[live].tolist()))
@@ -333,15 +327,11 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
         raise PlanError("time bins must be separated by at least 10 tau_R")
     t1, t2 = separation, 2.0 * separation
     grid = _bin_grid(p, separation, t2)
-    early = _rising_shape(t1, p)
-
-    def shape(t):
-        t = np.asarray(t, dtype=float)
-        # the late bin is the early packet delayed by one separation,
-        # truncated to its own window so the bins stay orthogonal
-        late = np.where(t > t1, early(t - separation), 0.0)
-        return alpha * early(t) + beta * late
-
+    # the late bin is the early packet delayed by one separation, truncated
+    # to its own window so the bins stay orthogonal
+    amp, two_tr = math.sqrt(p.tau_E / p.tau_R), 2.0 * p.tau_R
+    shape = _exp_pieces([-math.inf, t1, t2], [alpha * amp, beta * amp, 0.0],
+                        [two_tr, two_tr, math.inf], [t1, t2, t2])
     f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2)), shape=shape,
                       breakpoints=(t1, t2))
     write = plan_write(4, 2, separation)

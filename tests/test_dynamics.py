@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from subradiance import (DomainError, GridError, RegimeError, TimeGrid, WavePacket,
+from subradiance import (AmplitudeTrajectory, DomainError, GridError, RegimeError,
+                         TimeGrid, WavePacket,
                          closed_form_rectangular, closed_form_rising,
                          evolve_amplitude, forward_scatter, make_grid,
                          optimize_capture, output_field, packet_from_samples,
                          packet_norm, packet_overlap, rectangular_packet,
                          rising_exponential, trajectory_table, zero_packet)
-from subradiance.dynamics import _rk4_forcing, _rk4_recurrence
+from subradiance.dynamics import (_EDGE_NUDGE, _cell_values, _jump_nodes,
+                                  _rk4_forcing, _rk4_recurrence)
+from subradiance.storage import _timebin_setup, simulate_read, simulate_write
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,74 @@ def test_rising_exponential_norm(params):
 def test_zero_packet_is_zero(params):
     grid = make_grid(params, params.tau_R)
     assert packet_norm(zero_packet(grid), params) == 0.0
+
+
+def _assert_cells_match(f, ref):
+    """The packet's cell values equal ``ref`` to 1e-14 relative: at nodes and
+    midpoints, and a nudge to either side of every breakpoint node."""
+    grid = f.grid
+    t = grid.times
+    n = grid.n_samples
+    nudge = _EDGE_NUDGE * grid.dt
+    want0, want1 = ref(t[:-1]), ref(t[1:])
+    for k in _jump_nodes(grid, f.breakpoints):
+        want1[k - 1] = ref(t[k:k + 1] - nudge)[0]
+        if k < n - 1:
+            want0[k] = ref(t[k:k + 1] + nudge)[0]
+    want = (want0, ref(t[:-1] + 0.5 * grid.dt), want1)
+    for got, w in zip(_cell_values(f), want):
+        assert np.all(np.abs(got - w) <= 1e-14 * np.abs(w))
+    # the same values in any order of the sample times
+    perm = np.random.default_rng(2).permutation(n)
+    assert np.array_equal(f.shape(t[perm]), f.shape(t)[perm])
+
+
+def test_exponential_pieces_match_closed_forms(params):
+    tr2 = 2.0 * params.tau_R
+    grid = make_grid(params, 6 * params.tau_R)
+    # a packet whose end node's grid time rounds just below the end
+    t_start = 0.5 * params.tau_R
+    for m in range(400, 800):
+        tau_ph = (m / 200) * params.tau_R
+        if grid.times[100 + m] < t_start + tau_ph:
+            break
+    else:
+        pytest.fail("no packet end rounds below its node")
+    k, t_stop = 100 + m, t_start + tau_ph
+    f = rectangular_packet(params, grid, tau_ph, t_start)
+    amp = math.sqrt(params.tau_E / tau_ph)
+    assert f.samples[k] == 0.0
+    _assert_cells_match(f, lambda t: np.where(
+        (t >= t_start) & (t < t_stop), amp, 0.0).astype(complex))
+
+    def rising(t, t_end):
+        return np.where(t < t_end, math.sqrt(params.tau_E / params.tau_R)
+                        * np.exp(np.minimum(t - t_end, 0.0) / tr2), 0.0)
+
+    t_end = 25 * params.tau_R
+    _assert_cells_match(rising_exponential(t_end, params, make_grid(params, 30 * params.tau_R)),
+                        lambda t: rising(t, t_end).astype(complex))
+
+    alpha, beta, sep = 0.6, 0.8j, 20 * params.tau_R
+    f_in, write, read = _timebin_setup(alpha, beta, sep, params, True)
+    _assert_cells_match(f_in, lambda t: alpha * rising(t, sep)
+                        + beta * np.where(t > sep, rising(t - sep, sep), 0.0))
+
+    ledger, _ = simulate_write(f_in, write, params)
+    out, record = simulate_read(ledger, read, params, dt=f_in.grid.dt, write_plan=write)
+    on = np.array([e.time for e in read.events[-read.bins:]])
+    off = np.append(on[1:], out.grid.t_end)
+    a = np.array(record.emitted) / np.sqrt(1.0 - np.exp(-(off - on) / params.tau_R))
+
+    def readout(t):
+        total = np.zeros(t.shape, dtype=complex)
+        for s, e, ak in zip(on, off, a):
+            inside = (t >= s) & (t < e)
+            total += np.where(inside, math.sqrt(params.tau_E / params.tau_R) * ak
+                              * np.exp(-np.where(inside, t - s, 0.0) / tr2), 0.0)
+        return total
+
+    _assert_cells_match(out, readout)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +344,17 @@ def test_coarse_grid_rejected(params):
 
 
 def test_overfilled_amplitude_rejected(params):
-    grid = make_grid(params, params.tau_R)
+    # rejected before the packet is sampled
+    f = zero_packet(make_grid(params, params.tau_R))
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f.shape(t)
+
     with pytest.raises(DomainError):
-        evolve_amplitude(zero_packet(grid), 1.5, params)
+        evolve_amplitude(WavePacket(f.grid, f.samples, shape=counted), 1.5, params)
+    assert calls == []
 
 
 def test_trajectory_table_shape(params):
@@ -287,3 +366,20 @@ def test_trajectory_table_shape(params):
     assert lines[0].split("\t") == ["t", "re_f_in", "im_f_in", "re_c", "im_c",
                                     "re_f_out", "im_f_out"]
     assert len(lines) == grid.n_samples + 1
+    # every value formatted as format(v, ".12g"), also the special ones
+    vals = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                     1.0 / 3.0, -123456789.123456789, 1e300, 7.0], dtype=float)
+    g = TimeGrid(0.0, 1.0, len(vals))
+
+    def cx(re, im):
+        z = np.empty(len(re), dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    f_in = packet_from_samples(g, cx(vals, vals[::-1]))
+    f_out = packet_from_samples(g, cx(-vals[::-1], np.roll(vals, 3)))
+    traj = AmplitudeTrajectory(g, cx(np.roll(vals, 5), -vals))
+    want = [lines[0]] + ["\t".join(format(v, ".12g") for v in row) for row in zip(
+        g.times, f_in.samples.real, f_in.samples.imag, traj.c.real, traj.c.imag,
+        f_out.samples.real, f_out.samples.imag)]
+    assert trajectory_table(f_in, traj, f_out) == "\n".join(want) + "\n"

@@ -16,6 +16,16 @@ def test_sylvester_orthogonality():
         assert set(np.unique(h)) == {-1, 1}
 
 
+def test_sylvester_matches_block_doubling():
+    block = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    h = np.array([[1]], dtype=np.int64)
+    for _ in range(8):
+        h = np.kron(block, h)
+        got = sylvester(len(h))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, h)
+
+
 def test_sylvester_rejects_bad_order():
     for bad in (0, 1, 3, 6):
         with pytest.raises(DomainError):
