@@ -214,10 +214,12 @@ def _exp_pieces(starts, amps, taus, refs) -> Callable[[np.ndarray], np.ndarray]:
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
         counts = np.diff(np.searchsorted(flat, starts), append=len(flat))
-        x = flat - np.repeat(refs, counts)
+        x = np.repeat(refs, counts)
+        np.subtract(flat, x, out=x)
         x /= np.repeat(taus, counts)
         np.exp(x, out=x)
-        out = np.repeat(amps, counts) * x
+        out = np.repeat(amps, counts)
+        out *= x
         if order is not None:
             out[order] = out.copy()
         return out.reshape(t.shape)
@@ -292,12 +294,14 @@ def _cell_values(f: WavePacket):
     """
     grid, y = f.grid, f.samples
     n = grid.n_samples
-    v0 = y[:-1].astype(complex)
-    v1 = y[1:].astype(complex)
     jumps = _jump_nodes(grid, f.breakpoints)
     if f.shape is not None:
+        # midpoints before the step ends: the shape's grid-length temporaries
+        # are freed before the two copies are made, which lowers peak memory
         times = grid.times
         vm = np.asarray(f.shape(times[:-1] + 0.5 * grid.dt), dtype=complex)
+        v0 = y[:-1].astype(complex)
+        v1 = y[1:].astype(complex)
         if jumps:
             # a nudge inside each step: a node's grid time may round to
             # either side of its breakpoint
@@ -307,6 +311,8 @@ def _cell_values(f: WavePacket):
             k = k[k < n - 1]
             v0[k] = f.shape(times[k] + nudge)
         return v0, vm, v1
+    v0 = y[:-1].astype(complex)
+    v1 = y[1:].astype(complex)
     vm = np.empty(n - 1, dtype=complex)
     bounds = sorted(jumps | {0, n - 1})
     for a, b in zip(bounds[:-1], bounds[1:]):
