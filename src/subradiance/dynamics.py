@@ -238,12 +238,12 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
-    """Nodes after the first that sit on a breakpoint; each holds the value
-    of the segment it opens, even the last node."""
+    """Nodes that sit on a breakpoint; each holds the value of the segment
+    it opens, even the last node."""
     nodes = set()
     for t in breakpoints:
         k = round((t - grid.t0) / grid.dt)
-        if 0 < k < grid.n_samples and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
+        if 0 <= k < grid.n_samples and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
             nodes.add(int(k))
     return nodes
 
@@ -307,9 +307,8 @@ def _cell_values(f: WavePacket):
             # either side of its breakpoint
             k = np.array(sorted(jumps))
             nudge = _EDGE_NUDGE * grid.dt
-            v1[k - 1] = f.shape(times[k] - nudge)
-            k = k[k < n - 1]
-            v0[k] = f.shape(times[k] + nudge)
+            v0[k[k < n - 1]] = f.shape(times[k[k < n - 1]] + nudge)
+            v1[k[k > 0] - 1] = f.shape(times[k[k > 0]] - nudge)
         return v0, vm, v1
     v0 = y[:-1].astype(complex)
     v1 = y[1:].astype(complex)

@@ -33,6 +33,12 @@ def test_rectangular_packet_unit_norm(params):
     grid = make_grid(params, 6 * params.tau_R)
     f = rectangular_packet(params, grid, 2.5 * params.tau_R)
     assert packet_norm(f, params) == pytest.approx(1.0, abs=1e-12)
+    # a start a hair above the first node: that node holds the packet's value
+    grid = make_grid(params, 6 * params.tau_R, t0=0.3 * params.tau_R)
+    f = rectangular_packet(params, grid, 2.5 * params.tau_R,
+                           np.nextafter(grid.t0, np.inf))
+    assert f.samples[0] == math.sqrt(params.tau_E / (2.5 * params.tau_R))
+    assert packet_norm(f, params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rectangular_packet_rejects_front_scale(params):
@@ -63,7 +69,8 @@ def _assert_cells_match(f, ref):
     nudge = _EDGE_NUDGE * grid.dt
     want0, want1 = ref(t[:-1]), ref(t[1:])
     for k in _jump_nodes(grid, f.breakpoints):
-        want1[k - 1] = ref(t[k:k + 1] - nudge)[0]
+        if k > 0:
+            want1[k - 1] = ref(t[k:k + 1] - nudge)[0]
         if k < n - 1:
             want0[k] = ref(t[k:k + 1] + nudge)[0]
     want = (want0, ref(t[:-1] + 0.5 * grid.dt), want1)

@@ -320,8 +320,8 @@ def test_end_to_end_samples_the_input_shape_once(params):
         return f_in.shape(t)
 
     rep = end_to_end(dataclasses.replace(f_in, shape=counted), write, read, params)
-    # breakpoints 0, T, 2T, 3T: three of them on nodes after the first
-    assert sum(points) <= (f_in.grid.n_samples - 1) + 2 * 3
+    # breakpoints 0, T, 2T and 3T all sit on nodes
+    assert sum(points) <= (f_in.grid.n_samples - 1) + 2 * 4
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
     assert rep.input_norm == pytest.approx(packet_norm(f_in, params), abs=1e-15)
 
