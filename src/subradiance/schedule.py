@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,28 +64,31 @@ def sylvester(order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PulseEvent:
+    """One event of a plan, as read through ``PulsePlan.events``."""
+
     time: float
     mask: SignPattern
-    kind: str  # two_pi | pi_pair | modulator_set
-
-    _KINDS = ("two_pi", "pi_pair", "modulator_set")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise PlanError(f"unknown event kind {self.kind!r}")
+    kind: str  # two_pi | modulator_set
 
 
-@dataclass(frozen=True)
+def _event_kind(stage: str) -> str:
+    return "modulator_set" if stage.startswith("passive") else "two_pi"
+
+
+@dataclass(frozen=True, eq=False)
 class PulsePlan:
     """Ordered pulse schedule over a fixed number of spatial parts.
 
-    ``stage`` records what the plan is for ("write", "read",
-    "read_reversed", "passive_write", "passive_read", "passive_read_reversed")
-    so the checker knows which postconditions apply.
+    Event k fires at ``times[k]`` with the +-1 mask ``masks[k]``, a
+    read-only int64 (events x parts) matrix.  ``stage`` records what the
+    plan is for ("write", "read", "read_reversed", "passive_write",
+    "passive_read", "passive_read_reversed") so the checker knows which
+    postconditions apply.
     """
 
     parts: int
-    events: tuple[PulseEvent, ...]
+    times: tuple[float, ...]
+    masks: np.ndarray
     bin_duration: float
     stage: str = "write"
     bins: int = 0
@@ -93,19 +96,45 @@ class PulsePlan:
     def __post_init__(self):
         if self.bin_duration <= 0:
             raise PlanError("bin_duration must be positive")
-        times = [e.time for e in self.events]
+        times = tuple(self.times)
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise PlanError("event times must be strictly increasing")
-        for e in self.events:
-            if len(e.mask) != self.parts:
-                raise PlanError("mask length does not match number of parts")
+        try:
+            masks = np.array(self.masks)  # a copy, owned by the plan
+        except ValueError as exc:
+            raise PlanError(f"masks are not one matrix: {exc}") from exc
+        if not times and not masks.size:
+            masks = masks.reshape(0, self.parts)
+        if masks.shape != (len(times), self.parts):
+            raise PlanError(f"masks have shape {masks.shape}, want one mask of "
+                            f"{self.parts} parts per event ({len(times)})")
+        if not np.all((masks == 1) | (masks == -1)):
+            raise PlanError("mask entries must be +1 or -1")
+        # int64, not int8: products of 256-part rows reach +-256
+        masks = masks.astype(np.int64, copy=False)
+        masks.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "masks", masks)
+
+    def __eq__(self, other):
+        if not isinstance(other, PulsePlan):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    @property
+    def events(self) -> tuple[PulseEvent, ...]:
+        """The plan's events, built on demand from ``times`` and ``masks``."""
+        kind = _event_kind(self.stage)
+        return tuple(PulseEvent(t, SignPattern(tuple(m)), kind)
+                     for t, m in zip(self.times, self.masks.tolist()))
 
     @property
     def t_end(self) -> float:
         """End of the last bin covered by the plan."""
-        if not self.events:
+        if not self.times:
             return 0.0
-        return self.events[-1].time + self.bin_duration
+        return self.times[-1] + self.bin_duration
 
     def to_json(self) -> str:
         doc = {
@@ -123,12 +152,14 @@ class PulsePlan:
     @classmethod
     def from_json(cls, text: str) -> "PulsePlan":
         doc = json.loads(text)
-        events = tuple(
-            PulseEvent(e["time_s"], SignPattern.from_string(e["mask"]), e["kind"])
-            for e in doc["events"]
-        )
-        return cls(doc["parts"], events, doc["bin_duration_s"], doc["stage"],
-                   doc.get("bins", 0))
+        kind = _event_kind(doc["stage"])
+        for e in doc["events"]:
+            if e["kind"] != kind:
+                raise PlanError(f"event kind {e['kind']!r} does not match stage "
+                                f"{doc['stage']!r} (want {kind!r})")
+        masks = [SignPattern.from_string(e["mask"]).signs for e in doc["events"]]
+        return cls(doc["parts"], [e["time_s"] for e in doc["events"]], masks,
+                   doc["bin_duration_s"], doc["stage"], doc.get("bins", 0))
 
 
 def _check_geometry(parts: int, bins: int) -> None:
@@ -136,12 +167,6 @@ def _check_geometry(parts: int, bins: int) -> None:
         raise DomainError(f"parts = {parts} must be a power of two >= 2")
     if not 1 <= bins <= parts - 1:
         raise PlanError(f"bins = {bins} must be between 1 and parts - 1 = {parts - 1}")
-
-
-def _sign_matrix(plan: PulsePlan) -> np.ndarray:
-    """The plan's event masks as an (events x parts) matrix."""
-    return np.array([e.mask.signs for e in plan.events],
-                    dtype=np.int64).reshape(len(plan.events), plan.parts)
 
 
 def _emission_signs(rows: np.ndarray, cums: np.ndarray) -> np.ndarray:
@@ -167,19 +192,13 @@ def _flip_masks(plan: PulsePlan,
     product its write ended on; a passive write's opening pattern closes no
     bin and only sets the product its first bin is captured under.
     """
-    signs = _sign_matrix(plan)
     if not plan.stage.startswith("passive"):
-        return signs, start * signs.prod(axis=0)
-    down = np.multiply.accumulate(signs[:, ::-1], axis=1)[:, ::-1]
+        return plan.masks, start * plan.masks.prod(axis=0)
+    down = np.multiply.accumulate(plan.masks[:, ::-1], axis=1)[:, ::-1]
     if plan.stage == "passive_write" and len(down):
         start, down = down[0], down[1:]
     flips = down * np.vstack([start, down[:-1]])
     return flips, (down[-1] if len(down) else start)
-
-
-def _events(times, masks: np.ndarray, kind: str) -> tuple[PulseEvent, ...]:
-    return tuple(PulseEvent(t, SignPattern(tuple(m)), kind)
-                 for t, m in zip(times, masks.tolist()))
 
 
 def plan_write(parts: int, bins: int, bin_duration: float,
@@ -194,8 +213,8 @@ def plan_write(parts: int, bins: int, bin_duration: float,
     _check_geometry(parts, bins)
     h = sylvester(parts)
     times = [t0 + k * bin_duration for k in range(1, bins + 1)]
-    return PulsePlan(parts, _events(times, h[:bins] * h[1:bins + 1], "two_pi"),
-                     bin_duration, "write", bins)
+    return PulsePlan(parts, times, h[:bins] * h[1:bins + 1], bin_duration,
+                     "write", bins)
 
 
 def plan_read(parts: int, bins: int, bin_duration: float,
@@ -215,8 +234,7 @@ def plan_read(parts: int, bins: int, bin_duration: float,
     masks = targets * np.vstack([np.ones(parts, dtype=np.int64), targets[:-1]])
     times = [t0 + k * bin_duration for k in range(bins)]
     stage = "read_reversed" if time_reversed else "read"
-    return PulsePlan(parts, _events(times, masks, "two_pi"), bin_duration,
-                     stage, bins)
+    return PulsePlan(parts, times, masks, bin_duration, stage, bins)
 
 
 def plan_passive(parts: int, bins: int, bin_duration: float,
@@ -242,13 +260,12 @@ def plan_passive(parts: int, bins: int, bin_duration: float,
         active = plan_read(parts, bins, bin_duration, time_reversed, t0)
         start, times = _flip_masks(plan_write(parts, bins, bin_duration), ones)[1], []
         base_stage = "passive_read_reversed" if time_reversed else "passive_read"
-    times += [e.time for e in active.events]
-    cums = np.multiply.accumulate(np.vstack([start, _sign_matrix(active)]), axis=0)
+    times += active.times
+    cums = np.multiply.accumulate(np.vstack([start, active.masks]), axis=0)
     cums = cums[-len(times):]  # one running product per event
     # pattern m_j = c_j * c_{j+1}, with c beyond the last part taken as +1
     patterns = cums * np.pad(cums[:, 1:], ((0, 0), (0, 1)), constant_values=1)
-    return PulsePlan(parts, _events(times, patterns, "modulator_set"),
-                     bin_duration, base_stage, bins)
+    return PulsePlan(parts, times, patterns, bin_duration, base_stage, bins)
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,8 @@ def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
     """Grid indices of the plan's last ``plan.bins`` events: the write bins'
     ends or the read slots' starts (a passive write's opening closes no bin)."""
     try:
-        return [grid.index_of(e.time)
-                for e in plan.events[len(plan.events) - plan.bins:]]
+        return [grid.index_of(t)
+                for t in plan.times[len(plan.times) - plan.bins:]]
     except GridError as exc:
         raise PlanError(f"plan events must sit on grid nodes: {exc}") from exc
 
@@ -197,7 +197,7 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
         LedgerEntry(n, row, a)
         for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
     ledger._product = product
-    bps = tuple(sorted(set(f_in.breakpoints) | {e.time for e in plan.events}))
+    bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
     transmitted = replace(output_field(f_in, AmplitudeTrajectory(grid, c_full), p),
                           breakpoints=bps)
     # input bin n: sqrt of its photon number, with the mean phase of its
@@ -235,7 +235,7 @@ def simulate_read(
         raise PlanError("ledger was not written by the read plan's write plan")
     if dt is None:
         dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R
-    t0 = plan.events[0].time
+    t0 = plan.times[0]
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
     times = grid.times
     on = times[_bin_edges(grid, plan)]

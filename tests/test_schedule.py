@@ -4,8 +4,6 @@ import pytest
 from subradiance import (DomainError, PiPairConfig, PlanError, PulsePlan,
                          plan_passive, plan_read, plan_write, sylvester,
                          validate_pi_pair, verify_plan)
-from subradiance.schedule import PulseEvent
-from subradiance.states import SignPattern
 
 
 def test_sylvester_orthogonality():
@@ -67,9 +65,9 @@ def test_verify_all_geometries(parts):
 def test_verifier_rejects_corrupt_write():
     plan = plan_write(4, 3, 1.0)
     # replace the final mask so bin 3 ends superradiant
-    bad_events = plan.events[:2] + (
-        PulseEvent(plan.events[2].time, SignPattern((1, 1, 1, 1)), "two_pi"),)
-    bad = PulsePlan(4, bad_events, 1.0, "write", 3)
+    masks = plan.masks.copy()
+    masks[2] = 1
+    bad = PulsePlan(4, plan.times, masks, 1.0, "write", 3)
     report = verify_plan(bad)
     assert not report.ok
     assert any("superradiant" in v for v in report.violations)
@@ -78,9 +76,7 @@ def test_verifier_rejects_corrupt_write():
 def test_verifier_names_shared_rows():
     # masks 1 and 2 multiply to all-plus, so bins 1 and 3 end in one row
     masks = ((1, -1, 1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-    events = tuple(PulseEvent(float(k), SignPattern(m), "two_pi")
-                   for k, m in enumerate(masks, start=1))
-    report = verify_plan(PulsePlan(4, events, 1.0, "write", 3))
+    report = verify_plan(PulsePlan(4, (1.0, 2.0, 3.0), masks, 1.0, "write", 3))
     assert not report.ok
     assert "bins 1 and 3 share a row" in report.violations
     assert report.final_rows == ("+--+", "++--", "+--+")
@@ -88,10 +84,8 @@ def test_verifier_names_shared_rows():
 
 def test_verifier_rejects_corrupt_read():
     plan = plan_read(4, 3, 1.0)
-    shuffled = (plan.events[1], plan.events[0], plan.events[2])
-    retimed = tuple(PulseEvent(e0.time, e.mask, e.kind)
-                    for e0, e in zip(plan.events, shuffled))
-    bad = PulsePlan(4, retimed, 1.0, "read", 3)
+    shuffled = plan.masks[[1, 0, 2]]
+    bad = PulsePlan(4, plan.times, shuffled, 1.0, "read", 3)
     assert not verify_plan(bad).ok
 
 
@@ -117,6 +111,101 @@ def test_json_round_trip():
     plan = plan_read(8, 5, 3.5e-6, time_reversed=True, t0=1e-5)
     back = PulsePlan.from_json(plan.to_json())
     assert back == plan
+
+
+WRITE_4_3_JSON = """{
+  "parts": 4,
+  "bins": 3,
+  "stage": "write",
+  "bin_duration_s": 1.0,
+  "events": [
+    {
+      "time_s": 1.0,
+      "kind": "two_pi",
+      "mask": "+-+-"
+    },
+    {
+      "time_s": 2.0,
+      "kind": "two_pi",
+      "mask": "+--+"
+    },
+    {
+      "time_s": 3.0,
+      "kind": "two_pi",
+      "mask": "+-+-"
+    }
+  ]
+}"""
+
+PASSIVE_READ_4_3_JSON = """{
+  "parts": 4,
+  "bins": 3,
+  "stage": "passive_read",
+  "bin_duration_s": 1.0,
+  "events": [
+    {
+      "time_s": 0.0,
+      "kind": "modulator_set",
+      "mask": "+++-"
+    },
+    {
+      "time_s": 1.0,
+      "kind": "modulator_set",
+      "mask": "---+"
+    },
+    {
+      "time_s": 2.0,
+      "kind": "modulator_set",
+      "mask": "+-++"
+    }
+  ]
+}"""
+
+
+def test_json_bytes_pinned():
+    for plan, text in ((plan_write(4, 3, 1.0), WRITE_4_3_JSON),
+                       (plan_passive(4, 3, 1.0, stage="read"), PASSIVE_READ_4_3_JSON)):
+        assert plan.to_json() == text
+        assert PulsePlan.from_json(text) == plan
+
+
+@pytest.mark.parametrize("kind", ["pi_pair", "modulator_set", "bogus"])
+def test_json_rejects_kind_of_other_stage(kind):
+    text = WRITE_4_3_JSON.replace('"two_pi"', f'"{kind}"', 1)
+    with pytest.raises(PlanError, match=repr(kind)):
+        PulsePlan.from_json(text)
+    passive = PASSIVE_READ_4_3_JSON.replace('"modulator_set"', '"two_pi"', 1)
+    with pytest.raises(PlanError, match="'two_pi'"):
+        PulsePlan.from_json(passive)
+
+
+def test_plan_holds_one_read_only_mask_matrix():
+    plan = plan_write(4, 3, 1.0)
+    assert plan.masks.dtype == np.int64 and plan.masks.shape == (3, 4)
+    assert plan.times == (1.0, 2.0, 3.0)
+    assert all(type(t) is float for t in plan.times)
+    with pytest.raises(ValueError):
+        plan.masks[0, 0] = -1
+    # the plan copies the caller's matrix
+    rows = np.array([[1, -1, 1, -1]])
+    copied = PulsePlan(4, (1.0,), rows, 1.0, "write", 1)
+    rows[0, 0] = -1
+    assert copied.masks[0].tolist() == [1, -1, 1, -1]
+    assert [e.kind for e in plan.events] == ["two_pi"] * 3
+
+
+@pytest.mark.parametrize("times, masks, match", [
+    ((1.0, 2.0), ((1, -1, 1, -1), (1, 0, 1, -1)), "entries must be"),
+    ((1.0, 2.0), ((1, -1, 1, -1), (1, -1, 1, 2)), "entries must be"),
+    ((1.0, 2.0), ((1, -1, 1), (1, -1, 1)), "shape"),
+    ((1.0, 2.0), ((1, -1, 1, -1), (1, -1, 1)), "one matrix"),
+    ((1.0,), ((1, -1, 1, -1), (1, -1, 1, -1)), "shape"),
+    ((2.0, 2.0), ((1, -1, 1, -1), (1, -1, -1, 1)), "strictly increasing"),
+    ((2.0, 1.0), ((1, -1, 1, -1), (1, -1, -1, 1)), "strictly increasing"),
+])
+def test_plan_rejects_bad_matrix_or_times(times, masks, match):
+    with pytest.raises(PlanError, match=match):
+        PulsePlan(4, times, masks, 1.0, "write", len(times))
 
 
 def test_json_rejects_unknown_mask_character():
@@ -151,10 +240,9 @@ def test_passive_equivalent_to_active(parts):
 
 def test_passive_verifier_rejects_wrong_pattern():
     plan = plan_passive(4, 3, 1.0, stage="write")
-    bad_events = plan.events[:3] + (
-        PulseEvent(plan.events[3].time, SignPattern((1, 1, 1, 1)),
-                   "modulator_set"),)
-    bad = PulsePlan(4, bad_events, 1.0, "passive_write", 3)
+    masks = plan.masks.copy()
+    masks[3] = 1
+    bad = PulsePlan(4, plan.times, masks, 1.0, "passive_write", 3)
     assert not verify_plan(bad).ok
 
 
@@ -165,10 +253,8 @@ def test_passive_verifier_rejects_wrong_read_pattern():
     good = verify_plan(plan, write_plan=write)
     assert good.ok and good.emission_order == (3, 2, 1)
     assert set(good.emission_signs) == {-1}
-    swapped = (plan.events[1].mask, plan.events[0].mask, plan.events[2].mask)
-    bad = PulsePlan(4, tuple(PulseEvent(e.time, m, e.kind)
-                             for e, m in zip(plan.events, swapped)),
-                    1.0, plan.stage, 3)
+    swapped = plan.masks[[1, 0, 2]]
+    bad = PulsePlan(4, plan.times, swapped, 1.0, plan.stage, 3)
     for write_plan in (write, None):
         report = verify_plan(bad, write_plan=write_plan)
         assert not report.ok

@@ -209,6 +209,24 @@ def test_write_requires_events_on_grid(params):
         simulate_write(f_in, off, params)
 
 
+def test_run_path_builds_no_sign_patterns(params, monkeypatch):
+    built = []
+    check = SignPattern.__post_init__
+    monkeypatch.setattr(SignPattern, "__post_init__",
+                        lambda self: (built.append(self), check(self)))
+    for passive in (False, True):
+        f_in, write, read = _rect_setup(params)
+        if passive:
+            write = plan_passive(4, 3, write.bin_duration, stage="write")
+            read = plan_passive(4, 3, write.bin_duration, stage="read",
+                                t0=write.t_end)
+        report = end_to_end(f_in, write, read, params)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert built == []
+    # the event view is where masks become sign patterns
+    assert len(write.events) == len(built) == 4
+
+
 def test_write_loss_decays_stored(params):
     f_in, write, _ = _rect_setup(params)
     loss = 0.05 / params.tau_R
