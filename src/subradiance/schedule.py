@@ -350,11 +350,10 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
             violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
         for n in np.flatnonzero(_emission_signs(rows, ones[None])[:, 0]):
             violations.append(f"bin {n + 1} ends on the superradiant row")
-        # rows i and j agree up to sign exactly when row j, taken as a
-        # running product, turns row i superradiant
-        for i, j in np.argwhere(np.triu(_emission_signs(rows, rows), k=1)):
-            violations.append(f"bins {i + 1} and {j + 1} share a row")
+        # rows i and j agree up to sign exactly when |row_i . row_j| = parts
         gram = rows @ rows.T
+        for i, j in np.argwhere(np.triu(np.abs(gram) == rows.shape[1], k=1)):
+            violations.append(f"bins {i + 1} and {j + 1} share a row")
         if np.any(gram - np.diag(np.diag(gram))):
             violations.append("stored rows are not pairwise orthogonal")
         return PlanReport(not violations, tuple(violations), orthogonality=gram,
