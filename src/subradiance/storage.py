@@ -133,11 +133,16 @@ class StorageReport:
 def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
     """Grid indices of the plan's last ``plan.bins`` events: the write bins'
     ends or the read slots' starts (a passive write's opening closes no bin)."""
+    times = plan.times[len(plan.times) - plan.bins:]
     try:
-        return [grid.index_of(t)
-                for t in plan.times[len(plan.times) - plan.bins:]]
+        edges = [grid.index_of(t) for t in times]
     except GridError as exc:
         raise PlanError(f"plan events must sit on grid nodes: {exc}") from exc
+    for k in range(1, len(edges)):
+        if edges[k] == edges[k - 1]:
+            raise PlanError(f"plan events at {times[k - 1]} and {times[k]} fall on "
+                            f"one grid node ({edges[k]}), leaving a bin empty")
+    return edges
 
 
 def _require_verified(plan: PulsePlan,
@@ -200,13 +205,15 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
     transmitted = replace(output_field(f_in, AmplitudeTrajectory(grid, c_full), p),
                           breakpoints=bps)
-    # input bin n: sqrt of its photon number, with the mean phase of its
-    # samples (node b opens the next bin and holds its value)
+    # input bin n: sqrt of its photon number, with the phase of the sum of
+    # its samples (the edge node opens the next bin and holds its value)
     f_bins = {}
-    for n, (a, b) in enumerate(zip([0, *edges], edges), start=1):
-        mean = np.mean(f_in.samples[a:b])
-        phase = mean / abs(mean) if abs(mean) > 0 else 1.0
-        f_bins[n] = math.sqrt(max(np.sum(density[a:b]), 0.0)) * phase
+    if edges:
+        starts, end = [0, *edges[:-1]], edges[-1]
+        sums = np.add.reduceat(f_in.samples[:end], starts).tolist()
+        numbers = np.add.reduceat(density[:end], starts).tolist()
+        for n, (s, m) in enumerate(zip(sums, numbers), start=1):
+            f_bins[n] = math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
     return ledger, transmitted, in_norm, f_bins
 
 

@@ -209,6 +209,16 @@ def test_write_requires_events_on_grid(params):
         simulate_write(f_in, off, params)
 
 
+def test_write_rejects_two_events_on_one_node(params):
+    f_in, _, _ = _rect_setup(params)
+    dt = f_in.grid.dt
+    # three pulses 1e-8 dt apart all round to node 5: two bins would be empty
+    crowded = plan_write(4, 3, 1e-8 * dt, t0=5 * dt)
+    assert verify_plan(crowded).ok
+    with pytest.raises(PlanError, match="one grid node"):
+        simulate_write(f_in, crowded, params)
+
+
 def test_run_path_builds_no_sign_patterns(params, monkeypatch):
     built = []
     check = SignPattern.__post_init__
