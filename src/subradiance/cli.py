@@ -7,6 +7,7 @@ an error by request, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -230,8 +231,7 @@ def _scenario_scatter(cfg, p):
         "final_excitation": float(abs(traj.c[-1]) ** 2),
         "regime_warnings": warnings,
     }
-    table = trajectory_table(f_in, traj, f_out)
-    return report, warnings, table
+    return report, warnings, functools.partial(trajectory_table, f_in, traj, f_out)
 
 
 def _schedule_block(cfg, p, time_reversed: bool):
@@ -361,7 +361,8 @@ def _scenario_threelevel(cfg, p):
     }, [], None
 
 
-# Each scenario maps (config, derived parameters) to (report, warnings, table).
+# Each scenario maps (config, derived parameters) to (report, warnings, table),
+# where table is None or a callable that formats the TSV trajectory table.
 _SCENARIOS = {
     "params": _scenario_params,
     "scatter": _scenario_scatter,
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         if table is not None and args.table_out:
             with open(args.table_out, "w", encoding="utf-8") as fh:
-                fh.write(table)
+                fh.write(table())
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4

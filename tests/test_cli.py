@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from subradiance import cli
 from subradiance.cli import build_parser, main, parse_time
 from subradiance.errors import ConfigError
 
@@ -97,6 +98,23 @@ def test_scatter_table_output(tmp_path, capsys):
     lines = table.read_text().strip().split("\n")
     assert lines[0].startswith("t\t")
     assert len(lines) > 1000
+
+
+def test_scatter_formats_table_only_when_asked(tmp_path, capsys, monkeypatch):
+    calls = []
+    table = cli.trajectory_table
+    monkeypatch.setattr(cli, "trajectory_table",
+                        lambda *args: (calls.append(args), table(*args))[1])
+    doc = {"scenario": "scatter", "ensemble": ENSEMBLE}
+    assert _run(tmp_path, capsys, doc, "--quiet")[0] == 0
+    assert calls == []
+    # a sweep writes the table of its last run
+    swept, last = tmp_path / "swept.tsv", tmp_path / "last.tsv"
+    assert _run(tmp_path, capsys, doc, "--quiet", "--table-out", str(swept),
+                "--sweep", "ensemble.atom_count=1e6,1e7")[0] == 0
+    assert _run(tmp_path, capsys, doc, "--quiet", "--table-out", str(last))[0] == 0
+    assert len(calls) == 2
+    assert swept.read_text() == last.read_text()
 
 
 def test_scatter_packet_end_node_is_right_sided(tmp_path, capsys):
