@@ -14,6 +14,12 @@ downstream products s_j = prod_{i >= j} m_i; a pattern is equivalent to the
 active scheme's running flip product c when s = c, i.e.
 m_j = c_j * c_{j+1} (with c beyond the last part taken as +1).
 
+A plan is its event times plus one (events x parts) matrix of +-1 masks:
+flips for active stages, absolute modulator patterns for passive ones.
+Planners build that matrix, and the verifier and ``storage`` read it
+directly; ``PulsePlan.events`` formats it as ``PulseEvent`` views for JSON
+and for the mask-by-mask reference model.
+
 Planner and verifier share one kernel: running products from
 ``np.multiply.accumulate``, and the test that a row parked under running
 product r radiates under running product c exactly when |r . c| = parts,
