@@ -7,17 +7,20 @@ an error by request, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import collections
 import functools
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (make_grid, optimize_capture, packet_norm,
-                       rectangular_packet, rising_exponential,
-                       trajectory_table)
+from .dynamics import (evolve_amplitude, make_grid, optimize_capture,
+                       output_field, packet_norm, rectangular_packet,
+                       rising_exponential, trajectory_table)
 from .errors import ConfigError, DomainError, RegimeError, SubradianceError
 from .params import (EnsembleInput, density_for_tau_r, derive_params,
                      validate_regime)
@@ -80,12 +83,8 @@ def _fmt(x):
         return {str(k): _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return _fmt(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.complexfloating):
-        return _fmt(complex(x))
+    if isinstance(x, np.generic):
+        return _fmt(x.item())
     return x
 
 
@@ -95,96 +94,137 @@ def emit_json(data: dict) -> str:
     return json.dumps(_fmt(data), indent=2, sort_keys=True) + "\n"
 
 
-def _block(cfg: dict, name: str) -> dict:
-    """Config sub-object ``name``; an absent block is empty."""
-    blk = cfg.get(name, {})
+# Every config field by block ("" is the root, whose fields are those of every
+# scenario), with its kind, its default and, for numbers, its bounds (for a
+# "choice", its choices).  A default of None means absent unless given, and
+# only such a field reads JSON null as absent; MISSING means required.  A
+# complex field ``k`` is given as the numbers ``k_re`` and ``k_im``;
+# "amplitudes" are three complex numbers or strings such as "0.6+0.8j".
+_Field = collections.namedtuple("_Field", "kind default lo hi choices",
+                                defaults=(None, -math.inf, math.inf, ()))
+_FIELDS = {
+    "": {
+        "target_tau_R": _Field("time"),
+        "packet_duration": _Field("time", "2.5 tau_R"),
+        "pulse_duration": _Field("time", 0.0),
+        "pit_width": _Field("number", lo=math.ulp(0.0)),
+        "loss_rate": _Field("number", 0.0, lo=0.0),
+        "pulse_failure": _Field("number", 0.0, lo=0.0, hi=1.0),
+    },
+    "ensemble": {f.name: _Field("number", f.default) for f in fields(EnsembleInput)},
+    "input": {
+        "kind": _Field("choice", "rectangular",
+                       choices=("rectangular", "rising_exponential")),
+        "duration": _Field("time", "2.5 tau_R"),
+        "start": _Field("time", 0.0),
+        "end": _Field("time", "20 tau_R"),
+        "grid_duration": _Field("time"),  # absent: the scenario's span
+    },
+    "schedule": {
+        "parts": _Field("integer", 4),
+        "bins": _Field("integer"),  # absent: parts - 1
+        "bin_duration": _Field("time", "2.5 tau_R"),
+        "time_reversed": _Field("flag"),  # absent: the scenario's direction
+        "passive": _Field("flag", False),
+    },
+    "qubit": {
+        "alpha": _Field("complex", 1 / math.sqrt(2)),
+        "beta": _Field("complex", 1 / math.sqrt(2)),
+        "separation": _Field("time", "20 tau_R"),
+        "time_reversed": _Field("flag", True),
+        "pulse_failure": _Field("number", 0.0, lo=0.0, hi=1.0),
+    },
+    "states": {
+        "names": _Field("strings", ["one_sym", "two_sym", "one_AminusB",
+                                    "two_AminusB", "two_prime", "two_ABCD"]),
+        "atom_count": _Field("integer", 16),
+    },
+    "threelevel": {
+        "g_a": _Field("number", 1.0),
+        "g_b": _Field("number", 1.0),
+        "alpha": _Field("complex", 10.0),
+        "initial": _Field("amplitudes", [1.0, 0.0, 0.0]),
+    },
+}
+
+
+# The config keys of each block.
+_KEYS = {block: {key for name, f in table.items()
+                 for key in ((name + "_re", name + "_im") if f.kind == "complex" else (name,))}
+         for block, table in _FIELDS.items()}
+
+
+def _read(cfg: dict, block: str, p=None) -> dict:
+    """The checked, defaulted fields of config block ``block`` ("" is the
+    root); a ConfigError names the first unknown or bad field."""
+    blk = cfg.get(block, {}) if block else cfg
     if not isinstance(blk, dict):
-        raise ConfigError(f"'{name}' must be a JSON object, got {blk!r}")
-    return blk
+        raise ConfigError(f"'{block}' must be a JSON object, got {blk!r}")
+    prefix = block + "." if block else ""
+    unknown = set(blk) - _KEYS[block] - (set() if block else {"scenario", *_FIELDS})
+    if unknown:
+        raise ConfigError(f"unknown field '{prefix}{min(unknown)}'")
+    return {key: _value(blk, prefix, key, f, p) for key, f in _FIELDS[block].items()}
 
 
-def _bounded(blk: dict, key: str, lo: float = -math.inf, hi: float = math.inf,
-             default: float = 0.0) -> float:
-    """Finite number ``blk[key]`` in [lo, hi]."""
-    try:
-        value = float(blk.get(key, default))
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and lo <= value <= hi):
-        span = f" in [{lo:g}, {hi:g}]" if math.isfinite(lo) or math.isfinite(hi) else ""
-        raise ConfigError(f"{key} must be a finite number{span}, got {blk.get(key)!r}")
+def _value(blk: dict, prefix: str, key: str, f: _Field, p):
+    """Field ``key`` of ``blk`` converted to its kind."""
+    if f.kind == "complex":
+        return complex(_value(blk, prefix, key + "_re", _Field("number", f.default.real), p),
+                       _value(blk, prefix, key + "_im", _Field("number", f.default.imag), p))
+    name, value = prefix + key, blk.get(key, f.default)
+    if value is MISSING:
+        raise ConfigError(f"{name} is required")
+    if value is None and f.default is None:
+        return None
+    if f.kind == "time":
+        try:
+            return parse_time(value, p)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    if f.kind == "flag":
+        ok, want = isinstance(value, bool), "true or false"
+    elif f.kind == "choice":
+        ok, want = value in f.choices, "one of " + ", ".join(f.choices)
+    elif f.kind == "strings":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        want = "a list of strings"
+    elif f.kind == "amplitudes":
+        try:
+            amps = tuple(complex(a) for a in value if not isinstance(a, bool))
+        except (TypeError, ValueError, OverflowError):
+            amps = ()
+        ok = (isinstance(value, list) and len(amps) == len(value) == 3
+              and all(map(cmath.isfinite, amps)))
+        want = "a list of three finite complex amplitudes"
+        value = amps if ok else value
+    else:
+        real = type(value) is float or type(value) is int and abs(value) < 1e308
+        number = float(value) if real else math.nan  # not true, nor a huge integer
+        ok = (math.isfinite(number) and f.lo <= number <= f.hi
+              and (f.kind == "number" or number.is_integer()))
+        if ok:
+            return number if f.kind == "number" else int(number)
+        span = f" in [{f.lo:g}, {f.hi:g}]" if (f.lo, f.hi) != (-math.inf, math.inf) else ""
+        want = f"a finite number{span}" if f.kind == "number" else "an integer"
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
     return value
 
 
-def _integer(blk: dict, key: str, default: int) -> int:
-    """Integral number ``blk[key]``; ``4.0`` counts, ``4.7`` and ``"x"`` do not."""
-    value = blk.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not number.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(number)
+def _input_packet(inp: dict, p, span: float, dt=None):
+    """The input packet and its duration; its grid is ``span`` long unless
+    ``grid_duration`` is given."""
+    total = span if inp["grid_duration"] is None else inp["grid_duration"]
+    if inp["kind"] == "rising_exponential":
+        grid = make_grid(p, max(total, inp["end"]), dt=dt)
+        return rising_exponential(inp["end"], p, grid), inp["end"]
+    grid = make_grid(p, total, dt=dt)
+    return rectangular_packet(p, grid, inp["duration"], t_start=inp["start"]), inp["duration"]
 
 
-def _flag(blk: dict, key: str, default: bool) -> bool:
-    """JSON boolean ``blk[key]``; the string ``"false"`` is not one."""
-    value = blk.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _complex(blk: dict, key: str, default: complex) -> complex:
-    """Complex ``key`` from the finite real fields ``{key}_re`` and ``{key}_im``."""
-    return complex(_bounded(blk, key + "_re", default=default.real),
-                   _bounded(blk, key + "_im", default=default.imag))
-
-
-def _strings(blk: dict, key: str, default: list[str]) -> list[str]:
-    """List of strings ``blk[key]``; a bare string is not one."""
-    value = blk.get(key, default)
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
-    return value
-
-
-def _ensemble_input(cfg: dict) -> EnsembleInput:
-    e = cfg.get("ensemble")
-    if not isinstance(e, dict):
-        raise ConfigError("config needs an 'ensemble' object")
-    known = {"wavelength", "sample_length", "excited_lifetime",
-             "cross_section", "beam_diameter", "atom_count",
-             "number_density", "inhomogeneous_linewidth"}
-    extra = set(e) - known
-    if extra:
-        raise ConfigError(f"unknown ensemble fields: {sorted(extra)}")
-    try:
-        return EnsembleInput(**e)
-    except (TypeError, DomainError) as exc:
-        raise ConfigError(f"bad ensemble block: {exc}") from exc
-
-
-def _input_packet(cfg: dict, p, grid_duration_default: float, dt=None):
-    blk = _block(cfg, "input")
-    kind = blk.get("kind", "rectangular")
-    if kind == "rectangular":
-        dur = parse_time(blk.get("duration", "2.5 tau_R"), p)
-        start = parse_time(blk.get("start", 0.0), p)
-        total = parse_time(blk.get("grid_duration", grid_duration_default), p)
-        grid = make_grid(p, total, dt=dt)
-        return rectangular_packet(p, grid, dur, t_start=start), dur
-    if kind == "rising_exponential":
-        t_end = parse_time(blk.get("end", "20 tau_R"), p)
-        total = parse_time(blk.get("grid_duration", grid_duration_default), p)
-        grid = make_grid(p, max(total, t_end), dt=dt)
-        return rising_exponential(t_end, p, grid), t_end
-    raise ConfigError(f"unknown input kind {kind!r}")
-
-
-def _params_report(p) -> dict:
-    return {
+def _scenario_params(cfg, root, p):
+    report = {"parameters": {
         "coupling_mu": p.mu,
         "transit_time_tau_E": p.tau_E,
         "collective_lifetime_tau_R": p.tau_R,
@@ -192,24 +232,13 @@ def _params_report(p) -> dict:
         "fresnel_number": p.fresnel,
         "dephasing_time_t2_star": p.t2_star,
         "atom_count": float(p.atom_count),
-    }
-
-
-def _scenario_params(cfg, p):
-    report = {"parameters": _params_report(p)}
-    if "target_tau_R" in cfg:
-        target = parse_time(cfg["target_tau_R"], p)
+    }}
+    if root["target_tau_R"] is not None:
         report["density_for_target_tau_R"] = density_for_tau_r(
-            _ensemble_input(cfg), target)
-    dur = parse_time(cfg.get("packet_duration", "2.5 tau_R"), p)
-    pit_width = None
-    if cfg.get("pit_width") is not None:
-        # bounded below by the smallest positive float: a pit_width > 0
-        pit_width = _bounded(cfg, "pit_width", math.ulp(0.0))
-    warnings = validate_regime(p, packet_duration=dur,
-                               pulse_duration=parse_time(
-                                   cfg.get("pulse_duration", 0.0), p),
-                               pit_width=pit_width)
+            EnsembleInput(**_read(cfg, "ensemble")), root["target_tau_R"])
+    warnings = validate_regime(p, packet_duration=root["packet_duration"],
+                               pulse_duration=root["pulse_duration"],
+                               pit_width=root["pit_width"])
     report["regime_warnings"] = warnings
     capture_dur, capture_eff = optimize_capture(p)
     report["optimal_capture"] = {"duration": capture_dur,
@@ -218,9 +247,8 @@ def _scenario_params(cfg, p):
     return report, warnings, None
 
 
-def _scenario_scatter(cfg, p):
-    from .dynamics import evolve_amplitude, output_field
-    f_in, dur = _input_packet(cfg, p, "6 tau_R")
+def _scenario_scatter(cfg, root, p):
+    f_in, dur = _input_packet(_read(cfg, "input", p), p, 6 * p.tau_R)
     warnings = validate_regime(p, packet_duration=dur)
     traj = evolve_amplitude(f_in, 0.0, p)
     f_out = output_field(f_in, traj, p)
@@ -234,36 +262,34 @@ def _scenario_scatter(cfg, p):
     return report, warnings, functools.partial(trajectory_table, f_in, traj, f_out)
 
 
-def _schedule_block(cfg, p, time_reversed: bool):
-    """The schedule block with its parts, bins, bin duration and read
-    direction (``time_reversed`` is the direction's default)."""
-    blk = _block(cfg, "schedule")
-    parts = _integer(blk, "parts", 4)
-    bins = _integer(blk, "bins", parts - 1)
-    bin_dur = parse_time(blk.get("bin_duration", "2.5 tau_R"), p)
-    return blk, parts, bins, bin_dur, _flag(blk, "time_reversed", time_reversed)
+def _plans(schedule: dict, reversed_default: bool):
+    """The write and read plans of a read schedule block, active or passive;
+    the read direction defaults to ``reversed_default``."""
+    parts, bin_dur = schedule["parts"], schedule["bin_duration"]
+    bins = parts - 1 if schedule["bins"] is None else schedule["bins"]
+    reversed_ = (reversed_default if schedule["time_reversed"] is None
+                 else schedule["time_reversed"])
+    if schedule["passive"]:
+        write = plan_passive(parts, bins, bin_dur, stage="write")
+        read = functools.partial(plan_passive, stage="read")
+    else:
+        write, read = plan_write(parts, bins, bin_dur), plan_read
+    return write, read(parts, bins, bin_dur, time_reversed=reversed_, t0=write.t_end)
 
 
-def _active_plans(parts, bins, bin_dur, reversed_):
-    write = plan_write(parts, bins, bin_dur)
-    return write, plan_read(parts, bins, bin_dur, time_reversed=reversed_,
-                            t0=write.t_end)
-
-
-def _scenario_store(cfg, p):
-    _, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, True)
-    write, read = _active_plans(parts, bins, bin_dur, reversed_)
+def _scenario_store(cfg, root, p):
+    write, read = _plans(_read(cfg, "schedule", p), True)
+    bins, bin_dur = write.bins, write.bin_duration
     grid = _bin_grid(p, bin_dur, write.t_end)
-    kind = _block(cfg, "input").get("kind", "rectangular")
-    if kind == "rectangular":
+    inp = _read(cfg, "input", p)
+    if inp["kind"] == "rectangular":
         f_in = rectangular_packet(p, grid, bins * bin_dur)
     else:
-        f_in, _ = _input_packet(cfg, p, write.t_end, dt=grid.dt)
+        f_in, _ = _input_packet(inp, p, write.t_end, dt=grid.dt)
     warnings = validate_regime(p, packet_duration=bins * bin_dur)
-    report_obj = end_to_end(f_in, write, read, p,
-                            loss_rate=_bounded(cfg, "loss_rate", 0.0),
+    report_obj = end_to_end(f_in, write, read, p, loss_rate=root["loss_rate"],
                             pulse_success_amplitude=math.sqrt(
-                                1.0 - _bounded(cfg, "pulse_failure", 0.0, 1.0)))
+                                1.0 - root["pulse_failure"]))
     report = {
         "write_efficiency": report_obj.write_efficiency,
         "read_efficiency": report_obj.read_efficiency,
@@ -277,17 +303,13 @@ def _scenario_store(cfg, p):
     return report, warnings, None
 
 
-def _scenario_qubit(cfg, p):
-    blk = _block(cfg, "qubit")
-    alpha = _complex(blk, "alpha", 1 / math.sqrt(2))
-    beta = _complex(blk, "beta", 1 / math.sqrt(2))
-    sep = parse_time(blk.get("separation", "20 tau_R"), p)
-    warnings = validate_regime(p, packet_duration=sep)
+def _scenario_qubit(cfg, root, p):
+    qubit = _read(cfg, "qubit", p)
+    warnings = validate_regime(p, packet_duration=qubit["separation"])
     rep = timebin_qubit_report(
-        alpha, beta, sep, p,
-        time_reversed=_flag(blk, "time_reversed", True),
-        pulse_success_amplitude=math.sqrt(
-            1.0 - _bounded(blk, "pulse_failure", 0.0, 1.0)))
+        qubit["alpha"], qubit["beta"], qubit["separation"], p,
+        time_reversed=qubit["time_reversed"],
+        pulse_success_amplitude=math.sqrt(1.0 - qubit["pulse_failure"]))
     report = {
         "fidelity": rep.fidelity,
         "total_efficiency": rep.total_efficiency,
@@ -298,27 +320,17 @@ def _scenario_qubit(cfg, p):
     return report, warnings, None
 
 
-def _scenario_rates(cfg, p):
-    blk = _block(cfg, "states")
-    names = _strings(blk, "names", ["one_sym", "two_sym", "one_AminusB",
-                                    "two_AminusB", "two_prime", "two_ABCD"])
-    n_atoms = _integer(blk, "atom_count", 16)
+def _scenario_rates(cfg, root, p):
+    states = _read(cfg, "states", p)
+    n_atoms = states["atom_count"]
     unit = p.mu / p.excited_lifetime
-    rates = {}
-    for name in names:
-        state = named_state(name, n_atoms)
-        rates[name] = emission_rate(state, p) / unit
+    rates = {name: emission_rate(named_state(name, n_atoms), p) / unit
+             for name in states["names"]}
     return {"atom_count": n_atoms, "rates_in_units_of_mu_over_t1": rates}, [], None
 
 
-def _scenario_schedule(cfg, p):
-    blk, parts, bins, bin_dur, reversed_ = _schedule_block(cfg, p, False)
-    if _flag(blk, "passive", False):
-        write = plan_passive(parts, bins, bin_dur, stage="write")
-        read = plan_passive(parts, bins, bin_dur, stage="read",
-                            time_reversed=reversed_, t0=write.t_end)
-    else:
-        write, read = _active_plans(parts, bins, bin_dur, reversed_)
+def _scenario_schedule(cfg, root, p):
+    write, read = _plans(_read(cfg, "schedule", p), False)
     wrep = verify_plan(write)
     rrep = verify_plan(read, write_plan=write)
     return {
@@ -334,23 +346,10 @@ def _scenario_schedule(cfg, p):
     }, [], None
 
 
-def _scenario_threelevel(cfg, p):
-    blk = _block(cfg, "threelevel")
-    try:
-        drive = DriveConfig(g_a=_bounded(blk, "g_a", default=1.0),
-                            g_b=_bounded(blk, "g_b", default=1.0),
-                            alpha=_complex(blk, "alpha", 10.0))
-    except SubradianceError as exc:
-        raise ConfigError(str(exc)) from exc
-    amps = blk.get("initial", [1.0, 0.0, 0.0])
-    try:
-        # an amplitude is a number or a string such as "0.6+0.8j"
-        initial = tuple(complex(a) for a in amps) if isinstance(amps, list) else None
-    except (TypeError, ValueError):
-        initial = None
-    if initial is None:
-        raise ConfigError(f"initial must be a list of complex amplitudes, got {amps!r}")
-    state = ThreeLevelState(initial)
+def _scenario_threelevel(cfg, root, p):
+    three = _read(cfg, "threelevel", p)
+    drive = DriveConfig(g_a=three["g_a"], g_b=three["g_b"], alpha=three["alpha"])
+    state = ThreeLevelState(three["initial"])
     out = pulse_outcome(state, drive)
     return {
         "rabi_rate": drive.rabi_rate,
@@ -361,8 +360,8 @@ def _scenario_threelevel(cfg, p):
     }, [], None
 
 
-# Each scenario maps (config, derived parameters) to (report, warnings, table),
-# where table is None or a callable that formats the TSV trajectory table.
+# Each scenario maps (config, read root fields, derived parameters) to (report,
+# warnings, table); table is None or a callable that formats the TSV table.
 _SCENARIOS = {
     "params": _scenario_params,
     "scatter": _scenario_scatter,
@@ -377,23 +376,36 @@ _SCENARIOS = {
 def _run_scenario(name, cfg):
     if name in ("rates", "threelevel") and "ensemble" not in cfg:
         # these scenarios only need mu/T1 ratios or no ensemble at all
-        cfg = dict(cfg)
-        cfg["ensemble"] = {
+        cfg = dict(cfg, ensemble={
             "wavelength": 606e-9, "sample_length": 5e-3,
             "excited_lifetime": 164e-6, "beam_diameter": 100e-6,
             "atom_count": 10 ** 7,
-        }
-    return _SCENARIOS[name](cfg, derive_params(_ensemble_input(cfg)))
+        })
+    try:
+        p = derive_params(EnsembleInput(**_read(cfg, "ensemble")))
+    except DomainError as exc:
+        raise ConfigError(f"bad ensemble block: {exc}") from exc
+    return _SCENARIOS[name](cfg, _read(cfg, "", p), p)
 
 
-def _apply_sweep(cfg: dict, path: str, value: float) -> dict:
-    keys = path.split(".")
-    out = json.loads(json.dumps(cfg))
-    node = out
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-    node[keys[-1]] = value
-    return out
+def _apply_sweep(cfg: dict, spec: str) -> list[tuple[float, dict]]:
+    """(value, config) for each value of the sweep ``PATH=V1,V2,...``; PATH
+    names a config field."""
+    path, _, values = spec.partition("=")
+    block, _, key = path.strip().rpartition(".")
+    if key not in _KEYS.get(block, ()):
+        raise ConfigError(f"unknown field '{path.strip()}'")
+    try:
+        vals = [float(v) for v in values.split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep spec: {exc}") from exc
+    if not vals or not all(map(math.isfinite, vals)):
+        raise ConfigError(f"bad sweep spec: want finite values, got {values!r}")
+    node = cfg.get(block, {}) if block else cfg
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{block}' must be a JSON object, got {node!r}")
+    return [(v, {**cfg, block: {**node, key: v}} if block else {**cfg, key: v})
+            for v in vals]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,28 +447,18 @@ def main(argv=None) -> int:
         print("error: config root must be a JSON object", file=sys.stderr)
         return 2
 
-    scenario = args.scenario or cfg.get("scenario")
-    if scenario not in _SCENARIOS:
+    named = cfg.get("scenario")
+    scenario = args.scenario or named
+    if not isinstance(named, (str, type(None))) or scenario not in _SCENARIOS:
         print(f"error: scenario must be one of {', '.join(_SCENARIOS)}",
               file=sys.stderr)
         return 2
-
-    runs = [(None, cfg)]
-    if args.sweep:
-        try:
-            path, _, values = args.sweep.partition("=")
-            vals = [float(v) for v in values.split(",") if v]
-            if not path or not vals:
-                raise ValueError("empty sweep")
-        except ValueError as exc:
-            print(f"error: bad sweep spec: {exc}", file=sys.stderr)
-            return 2
-        runs = [(v, _apply_sweep(cfg, path.strip(), v)) for v in vals]
 
     reports = []
     all_warnings = []
     table = None
     try:
+        runs = _apply_sweep(cfg, args.sweep) if args.sweep else [(None, cfg)]
         for value, one_cfg in runs:
             report, warnings, t = _run_scenario(scenario, one_cfg)
             all_warnings.extend(warnings)
@@ -465,9 +467,8 @@ def main(argv=None) -> int:
             if value is not None:
                 report = {"sweep_value": value, **report}
             reports.append(report)
-    except (ConfigError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        text = emit_json({"scenario": scenario,
+                          "report": reports[0] if len(runs) == 1 else reports})
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -483,9 +484,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
 
-    payload = {"scenario": scenario,
-               "report": reports[0] if len(runs) == 1 else reports}
-    text = emit_json(payload)
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -326,3 +326,155 @@ def test_cli_import_needs_no_scipy():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = "import sys, subradiance.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# one field table: every field checked, named and defaulted in one place
+# ---------------------------------------------------------------------------
+
+_INPUT = {"kind": "rectangular", "duration": "1 tau_R", "start": "0.5 tau_R",
+          "end": "3 tau_R", "grid_duration": "3 tau_R"}
+
+# One cheap config per scenario that sets every field the scenario reads.
+_FULL = {
+    "params": {"scenario": "params", "ensemble": ENSEMBLE, "target_tau_R": "2 us",
+               "packet_duration": "2.5 tau_R", "pulse_duration": "10 ns",
+               "pit_width": 1e6},
+    "scatter": {"scenario": "scatter", "ensemble": ENSEMBLE, "input": _INPUT},
+    "store": {"scenario": "store", "ensemble": ENSEMBLE, "loss_rate": 1e3,
+              "pulse_failure": 0.01, "input": _INPUT,
+              "schedule": {"parts": 2, "bins": 1, "bin_duration": "1 tau_R",
+                           "time_reversed": True, "passive": False}},
+    "qubit": {"scenario": "qubit", "ensemble": ENSEMBLE,
+              "qubit": {"alpha_re": 0.6, "alpha_im": 0.0, "beta_re": 0.0,
+                        "beta_im": 0.8, "separation": "10 tau_R",
+                        "time_reversed": True, "pulse_failure": 0.01}},
+    "rates": {"scenario": "rates", "ensemble": ENSEMBLE,
+              "states": {"names": ["one_sym", "two_AminusB"], "atom_count": 4}},
+    "schedule": {"scenario": "schedule", "ensemble": ENSEMBLE,
+                 "schedule": {"parts": 4, "bins": 3, "bin_duration": "1 tau_R",
+                              "time_reversed": False, "passive": True}},
+    "threelevel": {"scenario": "threelevel", "ensemble": ENSEMBLE,
+                   "threelevel": {"g_a": 1.0, "g_b": 2.0, "alpha_re": 3.0,
+                                  "alpha_im": 1.0, "initial": [0.6, "0.8j", 0]}},
+}
+# Fields whose default is "absent": JSON null is allowed there.
+_OPTIONAL = {"target_tau_R", "pit_width", "input.grid_duration", "schedule.bins",
+             "schedule.time_reversed", "ensemble.beam_diameter",
+             "ensemble.atom_count", "ensemble.inhomogeneous_linewidth"}
+_DELETE = object()
+_MUTATIONS = ["x", [], {}, None, True, False, -1, 0, math.inf, "nan", _DELETE]
+
+
+def _wrong_type(base, value, optional):
+    """Whether ``value`` has the wrong JSON type (or is no time, choice or
+    finite number) for a field whose valid config value is ``base``."""
+    if value is _DELETE:
+        return False
+    if value is None:
+        return not optional
+    if isinstance(base, bool):
+        return not isinstance(value, bool)
+    if isinstance(base, (int, float)):
+        return (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or value == math.inf)
+    if isinstance(base, str):  # a time, an input kind or the scenario
+        return not isinstance(value, (int, float)) or isinstance(value, bool)
+    return value != []  # a list: of state names, or of three amplitudes
+
+
+def _mutants(doc):
+    """(dotted field, valid value, mutated config) for every field of ``doc``."""
+    for block, blk in doc.items():
+        fields = blk.items() if isinstance(blk, dict) else [(None, blk)]
+        for key, base in fields:
+            name = block if key is None else f"{block}.{key}"
+            for value in _MUTATIONS:
+                mutated = json.loads(json.dumps(doc))
+                node = mutated if key is None else mutated[block]
+                field = block if key is None else key
+                if value is _DELETE:
+                    del node[field]
+                else:
+                    node[field] = value
+                yield name, base, value, mutated
+
+
+@pytest.mark.parametrize("scenario", sorted(_FULL))
+def test_every_field_mutation_exits_cleanly(tmp_path, capsys, scenario):
+    doc = _FULL[scenario]
+    assert _run(tmp_path, capsys, doc, "--quiet")[0] == 0
+    problems = []
+    for name, base, value, mutated in _mutants(doc):
+        code, _, err = _run(tmp_path, capsys, mutated, "--quiet")
+        if code not in (0, 2, 3, 4):
+            problems.append((name, value, code))
+        if _wrong_type(base, value, name in _OPTIONAL) and not (
+                code == 2 and name in err):
+            problems.append((name, value, code, err))
+        if value is True and type(base) in (int, float) and code == 0:
+            problems.append((name, value, "true read as a number"))
+    for block in [None, *(b for b, v in doc.items() if isinstance(v, dict))]:
+        mutated = json.loads(json.dumps(doc))
+        (mutated if block is None else mutated[block])["bogus"] = 1
+        code, _, err = _run(tmp_path, capsys, mutated, "--quiet")
+        if not (code == 2 and "bogus" in err):
+            problems.append((block, "bogus", code, err))
+    assert problems == []
+
+
+@pytest.mark.parametrize("doc, named", [
+    (dict(STORE, ensemble=dict(ENSEMBLE, atom_count=True)), "ensemble.atom_count"),
+    (dict(STORE, ensemble=dict(ENSEMBLE, atom_count="x")), "ensemble.atom_count"),
+    (dict(STORE, schedule={"bins": True}), "schedule.bins must be an integer, got True"),
+    (dict(STORE, schedule={"part": 4}), "schedule.part"),
+    ({"scenario": "threelevel", "threelevel": {"intial": [0, 1, 0]}}, "threelevel.intial"),
+    ({"scenario": "qubit", "ensemble": ENSEMBLE, "qubit": {"separation": "x"}},
+     "qubit.separation: cannot parse time value 'x'"),
+    ({"scenario": "threelevel", "threelevel": {"initial": [1, 0]}}, "threelevel.initial"),
+    ({"scenario": "threelevel", "threelevel": {"initial": [True, False, False]}},
+     "threelevel.initial"),
+    ({"scenario": []}, "scenario"),
+])
+def test_field_errors_name_the_field(tmp_path, capsys, doc, named):
+    code, out, err = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 2 and out == "" and named in err
+
+
+@pytest.mark.parametrize("sweep, named", [
+    ("ensemble.atom_count.x=1,2", "ensemble.atom_count.x"),
+    ("schedule.parts=1e400", "finite"),
+    ("nonsense=1", "nonsense"),
+])
+def test_bad_sweeps_exit_2(tmp_path, capsys, sweep, named):
+    code, out, err = _run(tmp_path, capsys, STORE, "--quiet", "--sweep", sweep)
+    assert code == 2 and out == "" and named in err
+
+
+def test_non_finite_report_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._SCENARIOS, "params",
+                        lambda cfg, root, p: ({"x": math.inf}, [], None))
+    code, out, err = _run(tmp_path, capsys, {"scenario": "params", "ensemble": ENSEMBLE})
+    assert code == 2 and out == "" and "non-finite" in err
+
+
+def test_store_honours_passive(tmp_path, capsys, monkeypatch):
+    stages = []
+    run = cli.end_to_end
+    monkeypatch.setattr(cli, "end_to_end", lambda f, w, r, *args, **kw: (
+        stages.append(w.stage), run(f, w, r, *args, **kw))[1])
+    for rev in (True, False):
+        outs = [_run(tmp_path, capsys, dict(STORE, loss_rate=2e4, pulse_failure=0.03,
+                                            schedule={"parts": 8, "bins": 5,
+                                                      "time_reversed": rev,
+                                                      "passive": passive}), "--quiet")
+                for passive in (False, True)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+    assert stages == ["write", "passive_write"] * 2
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    code, out, _ = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 0 and json.loads(out)["scenario"] == doc["scenario"]
