@@ -59,8 +59,11 @@ class ThreeLevelState:
     amplitudes: tuple[complex, complex, complex]
 
     def __post_init__(self):
+        if len(self.amplitudes) != 3:
+            raise DomainError(f"a three-level state has 3 amplitudes, got "
+                              f"{len(self.amplitudes)}")
         n = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise DomainError(f"state norm {n} is not 1")
 
     @property

@@ -93,3 +93,10 @@ def test_guards():
         DriveConfig(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         ThreeLevelState((1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("amplitudes", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                                        (math.nan, 0.0, 0.0)])
+def test_state_needs_three_normalised_amplitudes(amplitudes):
+    with pytest.raises(DomainError):
+        ThreeLevelState(amplitudes)
