@@ -158,14 +158,32 @@ class PulsePlan:
     @classmethod
     def from_json(cls, text: str) -> "PulsePlan":
         doc = json.loads(text)
-        kind = _event_kind(doc["stage"])
-        for e in doc["events"]:
-            if e["kind"] != kind:
+        stage, events = _json_field(doc, "stage", str), _json_field(doc, "events", list)
+        kind = _event_kind(stage)
+        times, masks = [], []
+        for i, e in enumerate(events):
+            where = f"events[{i}]"
+            if _json_field(e, "kind", str, where) != kind:
                 raise PlanError(f"event kind {e['kind']!r} does not match stage "
-                                f"{doc['stage']!r} (want {kind!r})")
-        masks = [SignPattern.from_string(e["mask"]).signs for e in doc["events"]]
-        return cls(doc["parts"], [e["time_s"] for e in doc["events"]], masks,
-                   doc["bin_duration_s"], doc["stage"], doc.get("bins", 0))
+                                f"{stage!r} (want {kind!r})")
+            times.append(_json_field(e, "time_s", (int, float), where))
+            masks.append(SignPattern.from_string(_json_field(e, "mask", str, where)).signs)
+        return cls(_json_field(doc, "parts", int), times, masks,
+                   _json_field(doc, "bin_duration_s", (int, float)), stage,
+                   doc.get("bins", 0))
+
+
+def _json_field(doc, key: str, types, where: str = ""):
+    """Field ``key`` of a plan document, or of its event ``where``, of one of
+    ``types``; PlanError names a missing or mistyped field."""
+    if not isinstance(doc, dict):
+        raise PlanError(f"plan {where or 'document'} must be a JSON object, got {doc!r}")
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise PlanError(f"plan field {name} is missing")
+    if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+        raise PlanError(f"plan field {name} has the wrong type: {doc[key]!r}")
+    return doc[key]
 
 
 def _check_geometry(parts: int, bins: int) -> None:

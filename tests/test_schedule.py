@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,18 @@ def test_pi_pair_validation():
         k1=(0.0, 0.0, k), k2=(0.0, 0.0, k - 1.5 * dk), sample_length=L,
         m_index=4))
     assert not off_grid and res3 > 0.1
+
+
+_EVENT = json.loads(WRITE_4_3_JSON)["events"][0]
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({}, "stage"),
+    ([], "document"),
+    (dict(json.loads(WRITE_4_3_JSON), events=[
+        {k: v for k, v in _EVENT.items() if k != "kind"}]), "events\\[0\\].kind"),
+    (dict(json.loads(WRITE_4_3_JSON), stage=5), "stage"),
+])
+def test_json_rejects_malformed_document(doc, named):
+    with pytest.raises(PlanError, match=named):
+        PulsePlan.from_json(json.dumps(doc))
