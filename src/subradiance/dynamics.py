@@ -101,10 +101,19 @@ class TimeGrid:
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.n_samples - 1)
 
+    def nodes_of(self, times) -> np.ndarray:
+        """Index of the node at each time, or -1 where a time lies off the
+        grid: outside it, or more than 1e-6 dt from the nearest node."""
+        t = np.asarray(times, dtype=float)
+        k = np.rint((t - self.t0) / self.dt)
+        on = (k >= 0) & (k < self.n_samples) & (np.abs(self.t0 + k * self.dt - t)
+                                                 <= 1e-6 * self.dt)
+        return np.where(on, k, -1).astype(np.int64)
+
     def index_of(self, t: float) -> int:
         """Index of the node at time t; t must sit on the grid."""
-        k = round((t - self.t0) / self.dt)
-        if k < 0 or k >= self.n_samples or abs(self.t0 + k * self.dt - t) > 1e-6 * self.dt:
+        k = int(self.nodes_of(t))
+        if k < 0:
             raise GridError(f"time {t} is not a node of this grid")
         return k
 
@@ -240,12 +249,8 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
     """Nodes that sit on a breakpoint; each holds the value of the segment
     it opens, even the last node."""
-    nodes = set()
-    for t in breakpoints:
-        k = round((t - grid.t0) / grid.dt)
-        if 0 <= k < grid.n_samples and abs(grid.t0 + k * grid.dt - t) <= 1e-6 * grid.dt:
-            nodes.add(int(k))
-    return nodes
+    k = grid.nodes_of(breakpoints)
+    return set(k[k >= 0].tolist())
 
 
 def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:

@@ -26,7 +26,7 @@ from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
                        TimeGrid, WavePacket, _cell_values, _exp_pieces,
                        _node_samples, _photon_density, _require_one_photon,
                        _rk4_forcing, _rk4_recurrence, make_grid, output_field)
-from .errors import GridError, PlanError
+from .errors import PlanError
 from .params import EnsembleParams
 from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
                        plan_write, verify_plan)
@@ -134,10 +134,10 @@ def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
     """Grid indices of the plan's last ``plan.bins`` events: the write bins'
     ends or the read slots' starts (a passive write's opening closes no bin)."""
     times = plan.times[len(plan.times) - plan.bins:]
-    try:
-        edges = [grid.index_of(t) for t in times]
-    except GridError as exc:
-        raise PlanError(f"plan events must sit on grid nodes: {exc}") from exc
+    edges = grid.nodes_of(times).tolist()
+    if -1 in edges:
+        raise PlanError(f"plan events must sit on grid nodes: time "
+                        f"{times[edges.index(-1)]} is not a node of this grid")
     for k in range(1, len(edges)):
         if edges[k] == edges[k - 1]:
             raise PlanError(f"plan events at {times[k - 1]} and {times[k]} fall on "
