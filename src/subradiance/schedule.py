@@ -59,13 +59,8 @@ def sylvester(order: int) -> np.ndarray:
     if order < 2 or order & (order - 1):
         raise DomainError(f"order {order} is not a power of two >= 2")
     i = np.arange(order, dtype=np.int64)
-    bits = i[:, None] & i
-    # fold the parity of the index bits into bit 0
-    shift = 1
-    while shift < int(order).bit_length() - 1:
-        bits ^= bits >> shift
-        shift <<= 1
-    return 1 - 2 * (bits & 1)
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap: widen first
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -334,6 +329,8 @@ class PlanReport:
     orthogonality: np.ndarray | None = None
     # +-1 rows a write plan stores its bins in, one per bin
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # running mask product the write ends on (and a read replays from)
+    _end: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def final_rows(self) -> tuple[str, ...]:
@@ -381,7 +378,7 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
         if np.any(gram - np.diag(np.diag(gram))):
             violations.append("stored rows are not pairwise orthogonal")
         return PlanReport(not violations, tuple(violations), orthogonality=gram,
-                          _rows=rows)
+                          _rows=rows, _end=write_end)
 
     read_masks, _ = _flip_masks(plan, write_end)
     hits = _emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
@@ -402,4 +399,5 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     if order != expected:
         violations.append(f"emission order {order} != expected {expected}")
     return PlanReport(not violations, tuple(violations),
-                      emission_order=tuple(order), emission_signs=tuple(signs))
+                      emission_order=tuple(order), emission_signs=tuple(signs),
+                      _end=write_end)

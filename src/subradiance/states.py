@@ -12,6 +12,12 @@ Two representations are provided:
 The spatial phase factors e^{i q r_j} are absorbed into the definition of
 the single-atom excited states, so a 2 pi control pulse acting on a spatial
 part is exactly a sign flip of that part's excited amplitudes.
+
+In the full basis, bit j of an index marks atom j excited and atoms are
+ordered part by part, so part P owns one contiguous bit mask.  Every
+bit-indexed quantity is one ``np.bitwise_count`` of the index under a mask:
+a part's occupation is popcount(index & part mask), and a sign pattern
+multiplies by (-1)^popcount(index & mask of the minus parts).
 """
 
 from __future__ import annotations
@@ -148,26 +154,25 @@ class FullBasisState:
             raise DomainError(f"state norm {norm} is not 1")
 
     def excitation_number(self) -> int:
-        occ = _popcounts(self.n_atoms)
+        occ = np.bitwise_count(np.arange(2 ** self.n_atoms))
         present = np.unique(occ[np.abs(self.amplitudes) > _AMP_TOL])
         if len(present) != 1:
             raise DomainError("state does not have a definite excitation number")
         return int(present[0])
 
 
-def _popcounts(n_atoms: int) -> np.ndarray:
-    idx = np.arange(2 ** n_atoms, dtype=np.int64)
-    counts = np.zeros(2 ** n_atoms, dtype=np.int64)
-    for b in range(n_atoms):
-        counts += (idx >> b) & 1
-    return counts
+def _part_masks(partition: Partition) -> list[int]:
+    """Bit mask of each part: part P owns bits start_P .. start_P + N_P - 1."""
+    ends = np.cumsum(partition.part_sizes).tolist()
+    return [(1 << end) - (1 << (end - size))
+            for size, end in zip(partition.part_sizes, ends)]
 
 
 def symmetric_state(n: int, n_atoms: int) -> FullBasisState:
     """Symmetric Dicke state |n> over N atoms in the full basis."""
     if not 0 <= n <= n_atoms:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
-    occ = _popcounts(n_atoms)
+    occ = np.bitwise_count(np.arange(2 ** n_atoms))
     amps = np.zeros(2 ** n_atoms, dtype=complex)
     amps[occ == n] = 1.0 / math.sqrt(math.comb(n_atoms, n))
     return FullBasisState(n_atoms, amps)
@@ -221,15 +226,9 @@ def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None 
             raise DomainError("full-basis states need an explicit partition")
         if len(pattern) != partition.n_parts or partition.n_atoms != state.n_atoms:
             raise DomainError("pattern/partition do not match the state")
-        minus_in_part = np.zeros(2 ** state.n_atoms, dtype=np.int64)
+        minus = sum(m for m, s in zip(_part_masks(partition), pattern.signs) if s < 0)
         idx = np.arange(2 ** state.n_atoms, dtype=np.int64)
-        atom = 0
-        for size, sign in zip(partition.part_sizes, pattern.signs):
-            if sign < 0:
-                for b in range(atom, atom + size):
-                    minus_in_part += (idx >> b) & 1
-            atom += size
-        phase = np.where(minus_in_part % 2, -1.0, 1.0)
+        phase = np.where(np.bitwise_count(idx & minus) & 1, -1.0, 1.0)
         return FullBasisState(state.n_atoms, state.amplitudes * phase)
     raise DomainError(f"unsupported state type {type(state)!r}")
 
@@ -275,11 +274,9 @@ def brute_force_rate(state: FullBasisState, p: EnsembleParams) -> float:
     state.excitation_number()  # assert definiteness; raises on superpositions
     psi = state.amplitudes
     lowered = np.zeros_like(psi)
-    idx = np.arange(2 ** n_atoms, dtype=np.int64)
     for b in range(n_atoms):
-        bit = np.int64(1) << b
-        src = idx[(idx & bit) != 0]
-        np.add.at(lowered, src ^ bit, psi[src])
+        # lowering atom b maps each index with bit b set to the index without it
+        lowered.reshape(-1, 2, 2 ** b)[:, 0] += psi.reshape(-1, 2, 2 ** b)[:, 1]
     sq = float(np.sum(np.abs(lowered) ** 2))
     return p.mu / p.excited_lifetime * sq
 
@@ -291,14 +288,7 @@ def to_full_basis(state: PartitionedState) -> FullBasisState:
     if n_atoms > MAX_FULL_BASIS_ATOMS:
         raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
     idx = np.arange(2 ** n_atoms, dtype=np.int64)
-    part_occ = []
-    atom = 0
-    for size in sizes:
-        occ = np.zeros(2 ** n_atoms, dtype=np.int64)
-        for b in range(atom, atom + size):
-            occ += (idx >> b) & 1
-        part_occ.append(occ)
-        atom += size
+    part_occ = [np.bitwise_count(idx & m) for m in _part_masks(state.partition)]
     amps = np.zeros(2 ** n_atoms, dtype=complex)
     for occ, a in state.amplitudes.items():
         mask = np.ones(2 ** n_atoms, dtype=bool)

@@ -28,8 +28,7 @@ from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
                        _rk4_forcing, _rk4_recurrence, make_grid, output_field)
 from .errors import PlanError
 from .params import EnsembleParams
-from .schedule import (PlanReport, PulsePlan, _emission_signs, _flip_masks,
-                       plan_write, verify_plan)
+from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
 from .states import SignPattern
 
 __all__ = [
@@ -175,7 +174,7 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
            loss_rate: float, pulse_success_amplitude: float):
     """``simulate_write`` on the input's cell values, sampled once; also
     returns the input norm and the input's bin amplitudes."""
-    _require_verified(plan)
+    report = _require_verified(plan)
     grid = f_in.grid
     cells = _cell_values(f_in)
     density = _photon_density(cells, grid.dt, p)
@@ -195,13 +194,12 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     stored = (np.array(captured[:len(edges)], dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
               * pulse_success_amplitude ** np.arange(len(edges), 0, -1))
-    masks, product = _flip_masks(plan, np.ones(plan.parts, dtype=np.int64))
     # bin n is parked under the final running product times its stored row
-    parked = product * np.multiply.accumulate(masks[::-1], axis=0)[::-1]
+    parked = report._end * report._rows
     ledger = ModeLedger(plan.parts, [
         LedgerEntry(n, row, a)
         for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
-    ledger._product = product
+    ledger._product = report._end
     bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
     transmitted = replace(output_field(f_in, AmplitudeTrajectory(grid, c_full), p),
                           breakpoints=bps)
@@ -235,10 +233,8 @@ def simulate_read(
     next mask parks what is left of it back in a dark row.  The caller's
     ledger is left untouched.
     """
-    write = write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration)
-    report = _require_verified(plan, write)
-    if not np.array_equal(ledger._product,
-                          _flip_masks(write, np.ones(plan.parts, dtype=np.int64))[1]):
+    report = _require_verified(plan, write_plan)
+    if not np.array_equal(ledger._product, report._end):
         raise PlanError("ledger was not written by the read plan's write plan")
     if dt is None:
         dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R

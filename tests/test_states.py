@@ -113,10 +113,20 @@ def test_sign_pattern_involution_and_norm():
         assert back.amplitudes[occ] == pytest.approx(a, rel=1e-14)
 
 
-def test_sign_pattern_consistent_across_representations():
-    part = Partition.equal(8, 4)
+@pytest.mark.parametrize("sizes, signs", [
+    pytest.param((2, 2, 2, 2), (1, -1, 1, -1), id="equal-even"),
+    pytest.param((3, 1, 2, 2), (1, -1, 1, 1), id="3122-odd"),
+    pytest.param((3, 1, 2, 2), (-1, 1, -1, 1), id="3122-even"),
+    pytest.param((5, 3), (1, -1), id="53-odd"),
+    pytest.param((5, 3), (-1, -1), id="53-even"),
+    pytest.param((1,) * 6, (1, -1, -1, 1, 1, -1), id="singles-odd"),
+    pytest.param((1,) * 6, (-1, 1, 1, -1, 1, 1), id="singles-even"),
+])
+def test_sign_pattern_consistent_across_representations(sizes, signs):
+    # unequal parts put each part's bit mask at its own offset
+    part = Partition(sizes)
     st = symmetric_partitioned(2, part)
-    pat = SignPattern((1, -1, 1, -1))
+    pat = SignPattern(signs)
     a = to_full_basis(apply_sign_pattern(st, pat))
     b = apply_sign_pattern(to_full_basis(st), pat, partition=part)
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-13)

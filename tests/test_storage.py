@@ -10,6 +10,7 @@ from subradiance import (ModeLedger, PlanError, SignPattern, end_to_end,
                          WavePacket, rectangular_packet, rising_exponential,
                          simulate_read, simulate_write, timebin_qubit_fidelity,
                          timebin_qubit_report, verify_plan)
+from subradiance import schedule, storage
 
 
 def _rect_setup(params, bins=3, bin_in_tau_r=2.5, time_reversed=True):
@@ -180,6 +181,24 @@ def test_read_rejects_ledger_of_another_write_plan(params):
     with pytest.raises(PlanError, match="not written by"):
         simulate_read(ModeLedger(4), plan_read(8, 5, bd, t0=write.t_end), params,
                       write_plan=write)
+
+
+def test_end_to_end_replays_each_plan_once(params, monkeypatch):
+    # the write and read verifications replay the write plan and the read
+    # plan; storage reads the stored rows and end product off their reports
+    calls = []
+    replay = schedule._flip_masks
+
+    def counted(plan, start):
+        calls.append(plan.stage)
+        return replay(plan, start)
+
+    monkeypatch.setattr(schedule, "_flip_masks", counted)
+    # a replay through a name storage imported itself counts too
+    monkeypatch.setattr(storage, "_flip_masks", counted, raising=False)
+    f_in, write, read = _rect_setup(params)
+    end_to_end(f_in, write, read, params)
+    assert calls == ["write", "write", "read_reversed"]
 
 
 # ---------------------------------------------------------------------------
