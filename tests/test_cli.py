@@ -241,6 +241,15 @@ def test_parser_help_lists_scenarios():
         assert name in text
 
 
+def test_main_reuses_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = _run(tmp_path, capsys, {"scenario": "params", "ensemble": ENSEMBLE})
+    assert code == 0 and json.loads(out)["scenario"] == "params"
+
+
 STORE = {"scenario": "store", "ensemble": ENSEMBLE}
 
 
