@@ -282,21 +282,28 @@ def brute_force_rate(state: FullBasisState, p: EnsembleParams) -> float:
 
 
 def to_full_basis(state: PartitionedState) -> FullBasisState:
-    """Embed a partitioned state in the full basis (atoms ordered by part)."""
+    """Embed a partitioned state in the full basis (atoms ordered by part).
+
+    Each basis index gets the mixed-radix code sum_P n_P prod_{Q<P} (N_Q + 1)
+    of its part occupations n_P, and takes its amplitude a / sqrt(weight)
+    from a table over the prod_P (N_P + 1) <= 2^N compositions.  Part P owns
+    the next N_P bits up, so the codes are an outer sum over the parts of
+    n_P's radix times the bit counts of 0 .. 2^N_P - 1.
+    """
     sizes = state.partition.part_sizes
     n_atoms = state.partition.n_atoms
     if n_atoms > MAX_FULL_BASIS_ATOMS:
         raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
-    idx = np.arange(2 ** n_atoms, dtype=np.int64)
-    part_occ = [np.bitwise_count(idx & m) for m in _part_masks(state.partition)]
-    amps = np.zeros(2 ** n_atoms, dtype=complex)
+    radix = [math.prod(s + 1 for s in sizes[:p]) for p in range(len(sizes))]
+    code = np.zeros(1, dtype=np.int64)
+    for size, r in zip(sizes, radix):
+        own = r * np.bitwise_count(np.arange(2 ** size)).astype(np.int64)
+        code = (own[:, None] + code).ravel()
+    table = np.zeros(math.prod(s + 1 for s in sizes), dtype=complex)
     for occ, a in state.amplitudes.items():
-        mask = np.ones(2 ** n_atoms, dtype=bool)
-        for per_part, n_p in zip(part_occ, occ):
-            mask &= per_part == n_p
         weight = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
-        amps[mask] += a / math.sqrt(weight)
-    return FullBasisState(n_atoms, amps)
+        table[sum(r * k for r, k in zip(radix, occ))] += a / math.sqrt(weight)
+    return FullBasisState(n_atoms, table[code])
 
 
 def _two_part(n_atoms: int) -> Partition:

@@ -175,3 +175,27 @@ def test_bad_inputs():
     part = Partition.equal(4, 2)
     with pytest.raises(DomainError):
         PartitionedState(part, {(1, 0): 1.0, (0, 1): 1.0})  # norm sqrt(2)
+
+
+@pytest.mark.parametrize("sizes, n", [((3, 1, 2, 2), 2), ((3, 1, 2, 2), 3),
+                                      ((5, 3), 3), ((1, 4, 2), 4)])
+def test_full_basis_embedding_per_index(sizes, n):
+    # unequal parts: every index takes a / sqrt(weight) of its own
+    # composition, counted atom by atom here, to the last bit
+    part = Partition(sizes)
+    rng = np.random.default_rng(len(sizes) * 10 + n)
+    comps = list(symmetric_partitioned(n, part).amplitudes)
+    amps = rng.normal(size=len(comps)) + 1j * rng.normal(size=len(comps))
+    amps /= np.linalg.norm(amps)
+    state = PartitionedState(part, dict(zip(comps, amps.tolist())))
+    owner = [p for p, s in enumerate(sizes) for _ in range(s)]
+    want = np.zeros(2 ** part.n_atoms, dtype=complex)
+    for index in range(2 ** part.n_atoms):
+        occ = [0] * len(sizes)
+        for atom in range(part.n_atoms):
+            occ[owner[atom]] += index >> atom & 1
+        a = state.amplitudes.get(tuple(occ))
+        if a is not None:
+            weight = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
+            want[index] += a / math.sqrt(weight)
+    assert to_full_basis(state).amplitudes.tobytes() == want.tobytes()
