@@ -98,6 +98,9 @@ class PulsePlan:
         if self.bin_duration <= 0:
             raise PlanError("bin_duration must be positive")
         times = tuple(self.times)
+        for t in times:
+            if not math.isfinite(t):
+                raise PlanError(f"event time {t} is not finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise PlanError("event times must be strictly increasing")
         try:

@@ -309,3 +309,15 @@ _EVENT = json.loads(WRITE_4_3_JSON)["events"][0]
 def test_json_rejects_malformed_document(doc, named):
     with pytest.raises(PlanError, match=named):
         PulsePlan.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_non_finite_times(bad):
+    masks = ((1, -1, 1, -1), (1, -1, -1, 1))
+    with pytest.raises(PlanError, match=f"event time {bad} is not finite"):
+        PulsePlan(4, (1.0, bad), masks, 1.0, "write", 2)
+    # JSON spells them NaN and Infinity, which json.loads accepts
+    doc = json.loads(WRITE_4_3_JSON)
+    doc["events"][1]["time_s"] = bad
+    with pytest.raises(PlanError, match="is not finite"):
+        PulsePlan.from_json(json.dumps(doc))
