@@ -28,6 +28,16 @@ The analytic packets of this package (rectangular, rising exponential, the
 time-bin qubit, the read-out) are piecewise exponentials, sampled by one
 vectorized helper with one exponential per point.
 
+Such a packet also has an exact write.  The law is linear, so on each
+piece F(t) = F(s) e^{(t-s)/tau} the amplitude is e^{-(t-s)/2tau_R} c(s) plus
+one exponential integral of the forcing (``_segments``; Hochbruck &
+Ostermann, Acta Numerica 19, 2010, treat such exponential integrators in
+general).  ``storage`` writes these packets from their pieces in O(pieces +
+bins) scalar steps and samples the amplitude on the nodes in O(samples)
+(``_segment_nodes``); ``closed_form_rectangular`` and ``closed_form_rising``
+are the same propagator.  ``evolve_amplitude`` and ``forward_scatter`` stay
+on RK4, as do sampled packets and user shapes.
+
 The recurrence runs as a blocked prefix scan in numpy (Blelloch 1990; Martin
 & Cundy 2018): within a block of L steps a cumulative sum of B[j] A^-j,
 across blocks a Python loop of n/L steps that carries the amplitude in.  L
@@ -40,7 +50,8 @@ the package needs only numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,6 +88,8 @@ DEFAULT_STEPS_PER_TAU_R = 200
 MAX_DT_IN_TAU_R = 1.0 / 20.0
 # Largest grid make_grid builds: 160 MB per complex array.
 _MAX_GRID_SAMPLES = 10 ** 7
+# Up to this many pieces, a _Pieces evaluation loops over them in place.
+_FEW_PIECES = 8
 
 
 @dataclass(frozen=True)
@@ -106,8 +119,10 @@ class TimeGrid:
         grid: outside it, or more than 1e-6 dt from the nearest node."""
         t = np.asarray(times, dtype=float)
         k = np.rint((t - self.t0) / self.dt)
-        on = (k >= 0) & (k < self.n_samples) & (np.abs(self.t0 + k * self.dt - t)
-                                                 <= 1e-6 * self.dt)
+        # an infinite time gives inf - inf = nan below, which is off the grid
+        with np.errstate(invalid="ignore"):
+            on = (k >= 0) & (k < self.n_samples) & (np.abs(self.t0 + k * self.dt - t)
+                                                     <= 1e-6 * self.dt)
         return np.where(on, k, -1).astype(np.int64)
 
     def index_of(self, t: float) -> int:
@@ -202,19 +217,24 @@ def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WaveP
                       breakpoints=(t_end,))
 
 
-def _exp_pieces(starts, amps, taus, refs) -> Callable[[np.ndarray], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _Pieces:
     """Vectorized t -> amps[j] e^{(t - refs[j]) / taus[j]} on the right-sided
-    pieces starts[j] <= t < starts[j+1]: zero before starts[0], the last piece
-    runs on forever.  A tau is a signed time constant, inf on a constant
-    piece.  A rising piece's ref is its end and a decaying piece's its start,
-    so the exponent is <= 0 inside the piece: one np.exp per point that never
-    overflows (an inf times a zero amplitude would be nan)."""
-    starts = np.append(-np.inf, np.asarray(starts, dtype=float))
-    amps = np.append(0j, np.asarray(amps, dtype=complex))
-    taus = np.append(np.inf, np.asarray(taus, dtype=float))
-    refs = np.append(0.0, np.asarray(refs, dtype=float))
+    pieces starts[j] <= t < starts[j+1]; the last piece runs on forever and
+    entry 0 is the zero piece before the first start.  A tau is a signed time
+    constant, inf on a constant piece.  A rising piece's ref is its end and a
+    decaying piece's its start, so the exponent is <= 0 inside the piece: one
+    np.exp per point that never overflows (an inf times a zero amplitude would
+    be nan).  A few pieces are evaluated one slice each, in place; many short
+    ones (a read-out of many slots) by np.repeat of their parameters.
+    ``storage`` writes such a packet exactly (``_segments``)."""
 
-    def shape(t):
+    starts: np.ndarray
+    amps: np.ndarray
+    taus: np.ndarray
+    refs: np.ndarray
+
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         # on sorted times every piece is one run of points; sort other input
@@ -222,18 +242,35 @@ def _exp_pieces(starts, amps, taus, refs) -> Callable[[np.ndarray], np.ndarray]:
         if np.any(flat[1:] < flat[:-1]):
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
-        counts = np.diff(np.searchsorted(flat, starts), append=len(flat))
-        x = np.repeat(refs, counts)
-        np.subtract(flat, x, out=x)
-        x /= np.repeat(taus, counts)
-        np.exp(x, out=x)
-        out = np.repeat(amps, counts)
-        out *= x
+        bounds = np.append(np.searchsorted(flat, self.starts), len(flat))
+        counts = np.diff(bounds)
+        live = np.flatnonzero(counts * (self.amps != 0))
+        if len(live) <= _FEW_PIECES:
+            out = np.zeros(len(flat), dtype=complex)
+            for j in live.tolist():
+                x = flat[bounds[j]:bounds[j + 1]] - self.refs[j]
+                x /= self.taus[j]
+                np.exp(x, out=x)
+                np.multiply(x, self.amps[j], out=out[bounds[j]:bounds[j + 1]])
+        else:
+            x = np.repeat(self.refs, counts)
+            np.subtract(flat, x, out=x)
+            x /= np.repeat(self.taus, counts)
+            np.exp(x, out=x)
+            out = np.repeat(self.amps, counts)
+            out *= x
         if order is not None:
             out[order] = out.copy()
         return out.reshape(t.shape)
 
-    return shape
+
+def _exp_pieces(starts, amps, taus, refs) -> _Pieces:
+    """The pieces a_j e^{(t - refs[j]) / taus[j]} from starts[j] on, zero
+    before starts[0]."""
+    return _Pieces(np.append(-np.inf, np.asarray(starts, dtype=float)),
+                   np.append(0j, np.asarray(amps, dtype=complex)),
+                   np.append(np.inf, np.asarray(taus, dtype=float)),
+                   np.append(0.0, np.asarray(refs, dtype=float)))
 
 
 def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
@@ -253,12 +290,15 @@ def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
     return set(k[k >= 0].tolist())
 
 
-def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:
+def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...],
+                  times: np.ndarray | None = None) -> np.ndarray:
     """Node values of ``shape``, right-sided at the breakpoint nodes: those
     are sampled a nudge to the right, since a node's grid time may round just
-    below its breakpoint."""
-    times = grid.times
-    samples = np.array(shape(times), dtype=complex)
+    below its breakpoint.  ``times`` are the grid's times, if already built."""
+    if times is None:
+        times = grid.times
+    # a copy unless the shape returns a fresh complex array, as _Pieces does
+    samples = np.asarray(shape(times), dtype=complex)
     jumps = sorted(_jump_nodes(grid, breakpoints))
     if jumps:
         samples[jumps] = shape(times[jumps] + _EDGE_NUDGE * grid.dt)
@@ -375,13 +415,17 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
 # Integration of the local law and the field output relation
 # ---------------------------------------------------------------------------
 
-def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
-    """A and the forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]."""
+def _require_fine_grid(h: float, p: EnsembleParams) -> None:
     if h > p.tau_R * MAX_DT_IN_TAU_R:
         raise RegimeError(
             f"grid dt = {h:.3g} s too coarse: need dt <= tau_R/20 = "
             f"{p.tau_R * MAX_DT_IN_TAU_R:.3g} s"
         )
+
+
+def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
+    """A and the forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]."""
+    _require_fine_grid(h, p)
     a = -0.5 / p.tau_R
     s = -1.0 / np.sqrt(p.tau_R * p.tau_E)
     v0, vm, v1 = cell_values
@@ -403,32 +447,40 @@ def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
     return big_a, big_b
 
 
-def _rk4_recurrence(big_a, big_b: np.ndarray, c0: complex) -> np.ndarray:
-    """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node.
+def _rk4_recurrence(big_a, big_b: np.ndarray, c0) -> np.ndarray:
+    """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node, for each
+    row of a (rows, n) forcing (or one row of shape (n,)) at once.
 
     A blocked prefix scan: inside a block of L steps the response to the
     block's own forcing is y_i = A^i cumsum_j(B_j A^-j), and the amplitude
     carried in from the previous block adds carry A^(i+1).  L is the largest
-    block with |A|^-L <= e, so no weight A^-j exceeds e.
+    block with |A|^-L <= e, so no weight A^-j exceeds e.  Each row's result
+    is the one it would get alone: its blocks start at its own first step.
     """
-    n = len(big_b)
+    big_b = np.asarray(big_b)
+    n = big_b.shape[-1]
+    rows = math.prod(big_b.shape[:-1])
+    forcing = big_b.reshape(rows, n)
     mod = abs(big_a)
     # |A| that rounds to 1 gives log|A| = 0: one block, all weights ~1
     size = max(1, n if mod >= 1.0 else min(n, int(-1.0 / np.log(mod))))
     blocks = -(-n // size)
-    c = np.zeros(blocks * size + 1, dtype=complex)
-    c[0] = c0
-    c[1:n + 1] = big_b
-    y = c[1:].reshape(blocks, size)
+    y = np.zeros((rows, blocks * size), dtype=complex)
+    y[:, :n] = forcing
+    y = y.reshape(rows, blocks, size)
     powers = big_a ** np.arange(size + 1)
     y /= powers[:-1]
-    np.cumsum(y, axis=1, out=y)
+    np.cumsum(y, axis=2, out=y)
     y *= powers[:-1]
-    carry = complex(c0)
-    for row in y:
-        row += carry * powers[1:]
-        carry = row[-1]
-    return c[:n + 1]
+    c = np.empty((rows, n + 1), dtype=complex)
+    c[:, 0] = c0
+    carry = c[:, :1].copy()
+    for k in range(blocks):
+        block = y[:, k]
+        block += carry * powers[1:]
+        carry = block[:, -1:]
+    c[:, 1:] = y.reshape(rows, -1)[:, :n]
+    return c.reshape(*big_b.shape[:-1], n + 1)
 
 
 def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
@@ -455,8 +507,123 @@ def forward_scatter(f_in: WavePacket, p: EnsembleParams) -> WavePacket:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms and the capture optimum
+# Exact propagation of piecewise-exponential packets, and the closed forms
 # ---------------------------------------------------------------------------
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """expm1(x)/x, 1 at x = 0: exact near 0, and never overflows for x <= 0."""
+    out = np.ones_like(x)
+    nz = x != 0
+    out[nz] = np.expm1(x[nz]) / x[nz]
+    return out
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """The local law integrated exactly over segments [bounds[i], bounds[i+1]],
+    on each of which the input is one piece F(t) = F(s) e^{(t - s)/tau}."""
+
+    bounds: np.ndarray
+    rate: np.ndarray  # 1/tau + 1/2tau_R
+    f_start: np.ndarray  # F at the segment's start
+    c_start: np.ndarray  # c at the start, 0 after a cut
+    c_end: np.ndarray  # left limit of c at the end
+    photons: np.ndarray  # (1/tau_E) int |F|^2
+    flux: np.ndarray  # int F
+
+
+def _segments(pieces: _Pieces, p: EnsembleParams, grid: TimeGrid,
+              cut_times) -> _Segments:
+    """Integrate the local law from t0 to the grid end in O(pieces + cuts)
+    scalar steps.  Segments start at the piece starts inside the grid and at
+    the cuts, on grid nodes from the grid start on, where c restarts from 0;
+    a cut on the last node ends the last segment.  From the start s of a
+    segment, with lag D = t - s and rate r = 1/tau + 1/2tau_R,
+
+        c(t) = e^{-D/2tau_R} c(s) - F(t) D phi(-r D) / sqrt(tau_R tau_E),
+
+    phi(x) = expm1(x)/x; for r < 0 the same integral is taken from F(s),
+    F(s) e^{-D/2tau_R} D phi(r D).  Every exponential has a non-positive
+    argument, so a resonant piece (tau = -2 tau_R) and very long pieces need
+    no special case."""
+    cut_times = np.asarray(cut_times, dtype=float)
+    cuts = grid.nodes_of(cut_times)
+    end = cut_times[-1] if cuts[-1] == grid.n_samples - 1 else grid.t_end
+    # a piece start on a cut's node starts at the cut, as the node's
+    # right-sided sample does
+    starts = pieces.starts.copy()
+    k = grid.nodes_of(starts)
+    hit = np.isin(k, cuts)
+    starts[hit] = cut_times[np.searchsorted(cuts, k[hit])]
+    bounds = np.unique(np.concatenate([
+        cut_times, starts[(starts > grid.t0) & (starts < end)], [end]]))
+    s, e = bounds[:-1], bounds[1:]
+    j = np.searchsorted(starts, s, side="right") - 1
+    amp, tau, ref = pieces.amps[j], pieces.taus[j], pieces.refs[j]
+    width = e - s
+    two_tr = 2.0 * p.tau_R
+    f_s = amp * np.exp((s - ref) / tau)
+    f_e = amp * np.exp((e - ref) / tau)
+    decay = np.exp(-width / two_tr)
+    rate = 1.0 / tau + 1.0 / two_tr
+    # each integral is taken from the end where the exponential is largest
+    big = np.where(tau > 0, f_e, f_s)
+    photons = np.abs(big) ** 2 * width * _phi(-np.abs(2.0 * width / tau)) / p.tau_E
+    flux = big * width * _phi(-np.abs(width / tau))
+    kick = (np.where(rate >= 0, f_e, f_s * decay) * width * _phi(-np.abs(rate * width))
+            / -math.sqrt(p.tau_R * p.tau_E))
+    reset = np.isin(s, cut_times).tolist()
+    c_start, c_end = [], []
+    c = 0j
+    for restart, d, dc in zip(reset, decay.tolist(), kick.tolist()):
+        if restart:
+            c = 0j
+        c_start.append(c)
+        c = d * c + dc
+        c_end.append(c)
+    return _Segments(bounds, rate, f_s, np.array(c_start), np.array(c_end),
+                     photons, flux)
+
+
+def _segment_nodes(seg: _Segments, p: EnsembleParams, grid: TimeGrid,
+                   samples: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """c on every node from the exact segments, in O(samples): on a segment
+    c = kappa F + (c(s) - kappa F(s)) e^{-(t - s)/2tau_R} with kappa =
+    -1/(r sqrt(tau_R tau_E)), a factor times the node samples plus one
+    evaluation of decaying pieces.  Near resonance (|r| 2tau_R < 1/4) the
+    two terms would cancel, and the segment's nodes take the direct form of
+    ``_segments``.  A node belongs to the segment its right-sided sample
+    does.  A node on a segment's start holds c(s), 0 on a cut, and the last
+    node holds the left limit."""
+    n = grid.n_samples
+    s = seg.bounds[:-1]
+    first = np.clip(np.ceil((s - grid.t0) / grid.dt - 1e-6), 0, n - 1).astype(np.int64)
+    two_tr = 2.0 * p.tau_R
+    g = 1.0 / math.sqrt(p.tau_R * p.tau_E)
+    near = np.abs(seg.rate) * two_tr < 0.25
+    kappa = -g / np.where(near, np.inf, seg.rate)
+    c = _exp_pieces(times[first], seg.c_start - kappa * seg.f_start,
+                    np.full(len(s), -two_tr), s)(times)
+    for i, (a, b) in enumerate(zip(first.tolist(), [*first[1:].tolist(), n - 1])):
+        if not near[i]:
+            c[a:b] += kappa[i] * samples[a:b]
+            continue
+        lag = times[a:b] - s[i]
+        decay = np.exp(-lag / two_tr)
+        f = samples[a:b] if seg.rate[i] >= 0 else seg.f_start[i] * decay
+        c[a:b] = decay * seg.c_start[i] - g * f * lag * _phi(-abs(seg.rate[i]) * lag)
+    on = grid.nodes_of(s)
+    c[on[on >= 0]] = seg.c_start[on >= 0]
+    c[-1] = seg.c_end[-1]
+    return c
+
+
+def _exact_trajectory(f: WavePacket, p: EnsembleParams) -> AmplitudeTrajectory:
+    """c from c(t0) = 0 under a piecewise-exponential packet, exactly."""
+    seg = _segments(f.shape, p, f.grid, [f.grid.t0])
+    return AmplitudeTrajectory(
+        f.grid, _segment_nodes(seg, p, f.grid, f.samples, f.grid.times))
+
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,
                             grid: TimeGrid) -> AmplitudeTrajectory:
@@ -465,15 +632,7 @@ def closed_form_rectangular(tau_ph: float, p: EnsembleParams,
     c(t) = 2 sqrt(tau_R/tau_ph) (e^{-t/2tau_R} - 1) while the packet lasts,
     then free superradiant decay of the value reached at tau_ph.
     """
-    if tau_ph < 10.0 * p.tau_E:
-        raise RegimeError("tau_ph must be at least 10 tau_E")
-    t = grid.times - grid.t0
-    pref = 2.0 * np.sqrt(p.tau_R / tau_ph)
-    inside = pref * (np.exp(-t / (2 * p.tau_R)) - 1.0)
-    c_end = pref * (np.exp(-tau_ph / (2 * p.tau_R)) - 1.0)
-    after = c_end * np.exp(-(t - tau_ph) / (2 * p.tau_R))
-    c = np.where(t <= tau_ph, inside, after).astype(complex)
-    return AmplitudeTrajectory(grid, c)
+    return _exact_trajectory(rectangular_packet(p, grid, tau_ph, grid.t0), p)
 
 
 def closed_form_rising(t_end: float, p: EnsembleParams,
@@ -484,14 +643,7 @@ def closed_form_rising(t_end: float, p: EnsembleParams,
     afterwards the mirrored decaying exponential.  The second term is the
     finite-start correction, exponentially small when t_end - t0 >> tau_R.
     """
-    two_tr = 2.0 * p.tau_R
-    t = grid.times
-    attack = -(np.exp((t - t_end) / two_tr)
-               - np.exp(-(t + t_end - 2 * grid.t0) / two_tr))
-    c_end = -(1.0 - np.exp(-2 * (t_end - grid.t0) / two_tr))
-    decay = c_end * np.exp(-(t - t_end) / two_tr)
-    c = np.where(t <= t_end, attack, decay).astype(complex)
-    return AmplitudeTrajectory(grid, c)
+    return _exact_trajectory(rising_exponential(t_end, p, grid), p)
 
 
 def _capture_amplitude(x: float) -> float:

@@ -7,25 +7,33 @@ decay (the 1/(N-2)-suppressed rates) can be switched on as a uniform
 amplitude loss for sensitivity studies; it defaults to zero.
 
 ``verify_plan`` is the only replay of the sign algebra: it fixes every read
-slot's bin and sign, for active and passive plans alike.  The write samples
-the input once: its cell values give the photon number per grid step (input
-norm, one-photon check, bin norms) and the RK4 forcing on which every bin
-integrates the local law from zero.  Read slots decay freely; loss and pulse
-failure are scalar factors, so stored and emitted amplitudes are closed
-forms.  ``ModeLedger.apply_mask`` is the mask-by-mask reference model.
+slot's bin and sign, for active and passive plans alike.  The write has two
+paths, chosen by the input packet's type.  A piecewise-exponential packet
+(its ``shape`` a ``dynamics._Pieces``: rectangular, rising exponential,
+time-bin qubit, a recall fed back in) is written exactly: each bin's captured
+amplitude, photon number and flux int F come from the pieces in O(pieces +
+bins) scalar steps, and the transmitted packet from the same closed form in
+O(samples), with no RK4.  Any other packet is sampled once: its cell values
+give the photon number per grid step (input norm, one-photon check, bin
+norms) and the RK4 forcing, and every bin integrates the local law from zero
+in one blocked scan over rows as long as the longest bin.  Read slots decay
+freely; loss and pulse failure are scalar factors, so stored and emitted
+amplitudes are closed forms.  ``ModeLedger.apply_mask`` is the mask-by-mask
+reference model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS_PER_TAU_R, AmplitudeTrajectory,
-                       TimeGrid, WavePacket, _cell_values, _exp_pieces,
-                       _node_samples, _photon_density, _require_one_photon,
-                       _rk4_forcing, _rk4_recurrence, make_grid, output_field)
+from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket,
+                       _cell_values, _exp_pieces, _node_samples, _photon_density,
+                       _Pieces, _require_fine_grid, _require_one_photon,
+                       _rk4_forcing, _rk4_recurrence, _segment_nodes, _segments,
+                       make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
 from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
@@ -171,27 +179,18 @@ def simulate_write(
 
 
 def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
-           loss_rate: float, pulse_success_amplitude: float):
-    """``simulate_write`` on the input's cell values, sampled once; also
-    returns the input norm and the input's bin amplitudes."""
+           loss_rate: float, pulse_success_amplitude: float,
+           times: np.ndarray | None = None):
+    """``simulate_write``, exact for a piecewise-exponential packet and on
+    the input's cell values, sampled once, for any other; also returns the
+    input norm and the input's bin amplitudes.  ``times`` are the input
+    grid's times, if already built."""
     report = _require_verified(plan)
     grid = f_in.grid
-    cells = _cell_values(f_in)
-    density = _photon_density(cells, grid.dt, p)
-    in_norm = _require_one_photon(float(np.sum(density)))
-    edges = _bin_edges(grid, plan)
-    if edges and edges[0] == 0:
-        raise PlanError("first write pulse coincides with the grid start")
-    big_a, big_b = _rk4_forcing(cells, grid.dt, p)
-    del cells  # three grid-length arrays, not needed in the bin loop
-    c_full = np.empty(grid.n_samples, dtype=complex)
-    captured = []
-    for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
-        if b > a:
-            c_full[a:b + 1] = _rk4_recurrence(big_a, big_b[a:b], 0.0)
-            captured.append(c_full[b])
+    write = _write_exact if isinstance(f_in.shape, _Pieces) else _write_rk4
+    in_norm, edges, c_full, captured, numbers, sums = write(f_in, plan, p, times)
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
-    stored = (np.array(captured[:len(edges)], dtype=complex)
+    stored = (np.array(captured, dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
               * pulse_success_amplitude ** np.arange(len(edges), 0, -1))
     # bin n is parked under the final running product times its stored row
@@ -201,18 +200,83 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
         for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
     ledger._product = report._end
     bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
-    transmitted = replace(output_field(f_in, AmplitudeTrajectory(grid, c_full), p),
-                          breakpoints=bps)
-    # input bin n: sqrt of its photon number, with the phase of the sum of
-    # its samples (the edge node opens the next bin and holds its value)
-    f_bins = {}
+    # output_field in place: F_out = F_in + sqrt(tau_E/tau_R) c
+    c_full *= math.sqrt(p.tau_E / p.tau_R)
+    c_full += f_in.samples
+    transmitted = WavePacket(grid, c_full, breakpoints=bps)
+    # input bin n: sqrt of its photon number, with the phase of its flux
+    f_bins = {n: math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
+              for n, (s, m) in enumerate(zip(sums, numbers), start=1)}
+    return ledger, transmitted, in_norm, f_bins
+
+
+def _write_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
+    edges = _bin_edges(grid, plan)
+    if edges and edges[0] == 0:
+        raise PlanError("first write pulse coincides with the grid start")
+    return edges
+
+
+def _write_exact(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams, times):
+    """The write of a piecewise-exponential packet from its pieces: each
+    bin's captured amplitude, photon number and flux int F in O(pieces +
+    bins) scalar steps, and c on the nodes in O(samples)."""
+    grid = f_in.grid
+    edges = _write_edges(grid, plan)
+    # bins end on the pulses' own times, within 1e-6 dt of their nodes
+    cut_times = [grid.t0, *plan.times[len(plan.times) - plan.bins:]]
+    seg = _segments(f_in.shape, p, grid, cut_times)
+    in_norm = _require_one_photon(float(np.sum(seg.photons)))
+    _require_fine_grid(grid.dt, p)
+    if times is None:
+        times = grid.times
+    c_full = _segment_nodes(seg, p, grid, f_in.samples, times)
+    # the segments of bin n run from the n-th cut to the next one
+    at = np.searchsorted(seg.bounds, cut_times)
+    captured = seg.c_end[at[1:] - 1]
+    numbers, sums = ([np.add.reduceat(v[:at[-1]], at[:-1]).tolist()
+                      for v in (seg.photons, seg.flux)] if edges else ([], []))
+    return in_norm, edges, c_full, captured, numbers, sums
+
+
+def _write_rk4(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams, times):
+    """The write of any other packet on its cell values: every bin
+    integrates from c = 0, all of them in one RK4 scan over a (rows, n)
+    forcing."""
+    grid = f_in.grid
+    cells = _cell_values(f_in)
+    density = _photon_density(cells, grid.dt, p)
+    in_norm = _require_one_photon(float(np.sum(density)))
+    edges = _write_edges(grid, plan)
+    big_a, big_b = _rk4_forcing(cells, grid.dt, p)
+    del cells  # three grid-length arrays, not needed by the scan
+    spans = [(a, b) for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]) if b > a]
+    # rows as long as the longest bin between two pulses: a longer span
+    # (before the first pulse, after the last) is split into rows, and each
+    # row carries in the amplitude the one before it left
+    width = max(b - a for a, b in spans[1:len(edges)] or spans)
+    rows = [(k, min(k + width, b)) for a, b in spans for k in range(a, b, width)]
+    forcing = np.zeros((len(rows), width), dtype=complex)
+    for row, (a, b) in zip(forcing, rows):
+        row[:b - a] = big_b[a:b]
+    del big_b
+    scans = _rk4_recurrence(big_a, forcing, 0.0)
+    powers = big_a ** np.arange(width + 1)
+    c_full = np.empty(grid.n_samples, dtype=complex)
+    opens, ends, captured = {0, *edges}, set(edges), []
+    for scan, (a, b) in zip(scans, rows):
+        if a not in opens:
+            scan += c_full[a] * powers
+        c_full[a:b + 1] = scan[:b - a + 1]
+        if b in ends:
+            captured.append(scan[b - a])
+    # a bin's flux is the sum of its samples (the edge node opens the next bin)
+    numbers, sums = [], []
     if edges:
         starts, end = [0, *edges[:-1]], edges[-1]
         sums = np.add.reduceat(f_in.samples[:end], starts).tolist()
         numbers = np.add.reduceat(density[:end], starts).tolist()
-        for n, (s, m) in enumerate(zip(sums, numbers), start=1):
-            f_bins[n] = math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
-    return ledger, transmitted, in_norm, f_bins
+    return in_norm, edges, c_full, captured, numbers, sums
 
 
 def simulate_read(
@@ -273,8 +337,16 @@ def end_to_end(
     pulse_success_amplitude: float = 1.0,
 ) -> StorageReport:
     """Write ``f_in`` into subradiant modes, read it back, and score it."""
+    return _end_to_end(f_in, write_plan, read_plan, p, loss_rate,
+                       pulse_success_amplitude)
+
+
+def _end_to_end(f_in: WavePacket, write_plan: PulsePlan, read_plan: PulsePlan,
+                p: EnsembleParams, loss_rate: float, pulse_success_amplitude: float,
+                times: np.ndarray | None = None) -> StorageReport:
+    """``end_to_end``; ``times`` are the input grid's times, if already built."""
     ledger, transmitted, in_norm, f_bins = _write(
-        f_in, write_plan, p, loss_rate, pulse_success_amplitude)
+        f_in, write_plan, p, loss_rate, pulse_success_amplitude, times)
     captured = ledger.amplitudes_by_bin()
     stored_sq = ledger.stored_norm_sq()
     output, record = simulate_read(
@@ -335,11 +407,12 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
     amp, two_tr = math.sqrt(p.tau_E / p.tau_R), 2.0 * p.tau_R
     shape = _exp_pieces([-math.inf, t1, t2], [alpha * amp, beta * amp, 0.0],
                         [two_tr, two_tr, math.inf], [t1, t2, t2])
-    f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2)), shape=shape,
+    times = grid.times
+    f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2), times), shape=shape,
                       breakpoints=(t1, t2))
     write = plan_write(4, 2, separation)
     read = plan_read(4, 2, separation, time_reversed=time_reversed, t0=t2)
-    return f_in, write, read
+    return f_in, write, read, times
 
 
 def timebin_qubit_report(
@@ -352,9 +425,9 @@ def timebin_qubit_report(
 ) -> StorageReport:
     """Store and recall alpha|early> + beta|late> built from rising
     exponentials; each component is written with a single mask."""
-    f_in, write, read = _timebin_setup(alpha, beta, separation, p, time_reversed)
-    return end_to_end(f_in, write, read, p,
-                      pulse_success_amplitude=pulse_success_amplitude)
+    f_in, write, read, times = _timebin_setup(alpha, beta, separation, p,
+                                              time_reversed)
+    return _end_to_end(f_in, write, read, p, 0.0, pulse_success_amplitude, times)
 
 
 def timebin_qubit_fidelity(

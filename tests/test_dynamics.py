@@ -11,6 +11,7 @@ from subradiance import (AmplitudeTrajectory, DomainError, GridError, RegimeErro
                          optimize_capture, output_field, packet_from_samples,
                          packet_norm, packet_overlap, rectangular_packet,
                          rising_exponential, trajectory_table, zero_packet)
+from subradiance import dynamics
 from subradiance.dynamics import (_EDGE_NUDGE, _cell_values, _jump_nodes,
                                   _rk4_forcing, _rk4_recurrence)
 from subradiance.storage import _timebin_setup, simulate_read, simulate_write
@@ -27,6 +28,15 @@ def test_grid_nodes_and_lookup(params):
     assert grid.index_of(grid.times[17]) == 17
     with pytest.raises(GridError):
         grid.index_of(grid.times[17] + 0.3 * grid.dt)
+
+
+def test_grid_places_non_finite_times_off_the_grid(params):
+    # no RuntimeWarning from inf - inf: pytest turns warnings into errors
+    grid = make_grid(params, 3 * params.tau_R)
+    assert grid.nodes_of([np.inf, -np.inf, np.nan, grid.times[3]]).tolist() == [-1, -1, -1, 3]
+    for t in (np.inf, np.nan):
+        with pytest.raises(GridError, match="not a node"):
+            grid.index_of(t)
 
 
 def test_rectangular_packet_unit_norm(params):
@@ -108,7 +118,7 @@ def test_exponential_pieces_match_closed_forms(params):
                         lambda t: rising(t, t_end).astype(complex))
 
     alpha, beta, sep = 0.6, 0.8j, 20 * params.tau_R
-    f_in, write, read = _timebin_setup(alpha, beta, sep, params, True)
+    f_in, write, read, _ = _timebin_setup(alpha, beta, sep, params, True)
     _assert_cells_match(f_in, lambda t: alpha * rising(t, sep)
                         + beta * np.where(t > sep, rising(t - sep, sep), 0.0))
 
@@ -263,6 +273,58 @@ def test_rk4_recurrence_matches_step_loop(params):
                 got = _rk4_recurrence(big_a, big_b, c0)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_rk4_recurrence_rows_match_single_rows(params):
+    # every row of a (rows, n) forcing gets what it gets alone, to the bit;
+    # a zero row stays exactly zero
+    rng = np.random.default_rng(23)
+    dt = params.tau_R / 200
+    lengths = (0, 1, 399, 400, 401, 1303)
+    cells = [rng.normal(size=max(lengths)) + 1j * rng.normal(size=max(lengths))
+             for _ in range(3)]
+    big_a, big_b = _rk4_forcing(cells, dt, params)
+    forcing = np.zeros((len(lengths) + 1, max(lengths)), dtype=complex)
+    for row, m in zip(forcing, lengths):
+        row[:m] = big_b[:m]
+    c0 = np.array([0.0, 0.3j, 0.0, 0.6, 0.0, -0.2, 0.0])
+    rows = _rk4_recurrence(big_a, forcing, c0)
+    for row, m, start in zip(rows, lengths, c0):
+        alone = _rk4_recurrence(big_a, big_b[:m], start)
+        assert row[:m + 1].tobytes() == alone.tobytes()
+    assert not np.any(rows[-1])
+
+
+def test_piece_evaluation_paths_agree(params, monkeypatch):
+    # few pieces are evaluated slice by slice, many by np.repeat: same bits
+    rng = np.random.default_rng(5)
+    starts = np.sort(rng.uniform(0.0, 10.0, size=12))
+    shape = dynamics._exp_pieces(starts, rng.normal(size=12) + 1j * rng.normal(size=12),
+                                 rng.choice([-2.0, 3.0, np.inf], size=12), starts)
+    t = np.linspace(-1.0, 12.0, 4001)
+    few, many = [], []
+    for limit, out in ((100, few), (0, many)):
+        monkeypatch.setattr(dynamics, "_FEW_PIECES", limit)
+        out.append(shape(t))
+        out.append(shape(t[::-1]))
+    assert few[0].tobytes() == many[0].tobytes()
+    assert few[1].tobytes() == many[1].tobytes() == few[0][::-1].tobytes()
+
+
+def test_closed_forms_match_their_formulas(params):
+    # the exact propagator against the formulas in the docstrings
+    grid = make_grid(params, 6 * params.tau_R, t0=0.3 * params.tau_R)
+    t, tr2, x = grid.times - grid.t0, 2 * params.tau_R, 2.5 * params.tau_R
+    pref = 2 * math.sqrt(params.tau_R / x)
+    rect = np.where(t <= x, pref * (np.exp(-t / tr2) - 1),
+                    pref * (math.exp(-x / tr2) - 1) * np.exp(-(t - x) / tr2))
+    assert np.max(np.abs(closed_form_rectangular(x, params, grid).c - rect)) < 1e-14
+    t_end = grid.t0 + 4 * params.tau_R
+    t = grid.times
+    rise = np.where(t <= t_end,
+                    -(np.exp((t - t_end) / tr2) - np.exp(-(t + t_end - 2 * grid.t0) / tr2)),
+                    -(1 - math.exp(-2 * (t_end - grid.t0) / tr2)) * np.exp(-(t - t_end) / tr2))
+    assert np.max(np.abs(closed_form_rising(t_end, params, grid).c - rise)) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import math
@@ -5,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from subradiance import (ModeLedger, PlanError, SignPattern, end_to_end,
-                         make_grid, packet_norm, plan_passive, plan_read, plan_write,
-                         WavePacket, rectangular_packet, rising_exponential,
-                         simulate_read, simulate_write, timebin_qubit_fidelity,
-                         timebin_qubit_report, verify_plan)
-from subradiance import schedule, storage
+from subradiance import (ModeLedger, PlanError, SignPattern, TimeGrid, end_to_end,
+                         make_grid, packet_from_samples, packet_norm, plan_passive,
+                         plan_read, plan_write, WavePacket, rectangular_packet,
+                         rising_exponential, simulate_read, simulate_write,
+                         timebin_qubit_fidelity, timebin_qubit_report, verify_plan)
+from subradiance import dynamics, schedule, storage
 
 
 def _rect_setup(params, bins=3, bin_in_tau_r=2.5, time_reversed=True):
@@ -431,3 +432,184 @@ def test_timebin_qubit_guards(params):
         timebin_qubit_fidelity(0.9, 0.9, 20 * params.tau_R, params)
     with pytest.raises(PlanError):
         timebin_qubit_fidelity(1.0, 0.0, 2 * params.tau_R, params)
+
+
+# ---------------------------------------------------------------------------
+# the exact write of piecewise-exponential packets
+# ---------------------------------------------------------------------------
+
+def _rk4_twin(f_in):
+    """The same packet behind a plain callable, which the write integrates
+    with RK4 on its cell values."""
+    return dataclasses.replace(f_in, shape=lambda t: f_in.shape(t))
+
+
+def _assert_paths_agree(f_in, write, params, tol=1e-10):
+    assert isinstance(f_in.shape, dynamics._Pieces)
+    exact = storage._write(f_in, write, params, 0.0, 1.0)
+    rk4 = storage._write(_rk4_twin(f_in), write, params, 0.0, 1.0)
+    got, want = exact[0].amplitudes_by_bin(), rk4[0].amplitudes_by_bin()
+    assert got.keys() == want.keys() == set(range(1, write.bins + 1))
+    assert max(abs(got[n] - want[n]) for n in got) < tol
+    assert abs(exact[2] - rk4[2]) < tol
+    assert max(abs(exact[3][n] - rk4[3][n]) for n in exact[3]) < tol
+    scale = np.max(np.abs(f_in.samples))
+    assert np.max(np.abs(exact[1].samples - rk4[1].samples)) < tol * scale
+    # c = 0 on each bin-start node, on both paths
+    edges = storage._bin_edges(f_in.grid, write)
+    for transmitted in (exact[1], rk4[1]):
+        starts = [k for k in edges if k < f_in.grid.n_samples - 1]
+        assert np.array_equal(transmitted.samples[starts], f_in.samples[starts])
+    return exact
+
+
+def test_exact_write_of_rectangular_fronts_mid_bin(params):
+    bd = 2.5 * params.tau_R
+    write = plan_write(8, 5, bd)
+    grid = make_grid(params, write.t_end)
+    for start, length in ((grid.n_samples // 7, 3.3), (0, 4.1), (613, 0.9)):
+        f_in = rectangular_packet(params, grid, length * bd, grid.times[start])
+        _assert_paths_agree(f_in, write, params)
+
+
+def test_exact_write_of_rising_exponentials_and_qubits(params):
+    t_end = 20 * params.tau_R
+    f_in = rising_exponential(t_end, params, make_grid(params, t_end))
+    _assert_paths_agree(f_in, plan_write(2, 1, t_end), params)
+    for alpha, beta in ((0.6, 0.8j), (1.0, 0.0), (0.0, -1.0)):
+        f_in, write, _, _ = storage._timebin_setup(alpha, beta, 20 * params.tau_R,
+                                                   params, True)
+        _assert_paths_agree(f_in, write, params)
+
+
+def test_exact_write_of_a_resonant_recall(params):
+    # a recall decays as e^{-t/2tau_R}: fed back in, each slot is a piece
+    # with tau = -2 tau_R, where the mode's own decay is resonant
+    f_in, write, read = _rect_setup(params)
+    output = end_to_end(f_in, write, read, params).output
+    assert -2 * params.tau_R in output.shape.taus
+    again = plan_write(4, 3, write.bin_duration, t0=output.grid.t0)
+    _assert_paths_agree(output, again, params)
+
+
+@pytest.mark.parametrize("x", [1e-9, -1e-9, 0.2, -0.2, 0.3, -0.3])
+def test_exact_write_near_resonance(params, x):
+    # tau = -2 tau_R / (1 - x): 2 tau_R (1/tau + 1/2tau_R) = x, on either
+    # side of the resonance and of the switch to the direct form at 1/4
+    bd = 2.5 * params.tau_R
+    write = plan_write(4, 3, bd)
+    grid = make_grid(params, write.t_end)
+    start = grid.times[97]
+    shape = dynamics._exp_pieces([start], [0.5 * math.sqrt(params.tau_E / params.tau_R)],
+                                 [-2 * params.tau_R / (1 - x)], [start])
+    f_in = WavePacket(grid, dynamics._node_samples(shape, grid, (start,)), shape=shape,
+                      breakpoints=(start,))
+    _assert_paths_agree(f_in, write, params)
+
+
+def test_exact_write_of_a_very_long_rising_piece(params):
+    # 2500 tau_R of rise: every exponential the write takes stays finite
+    t_end = 2500 * params.tau_R
+    grid = make_grid(params, t_end, dt=params.tau_R / 20)
+    f_in = rising_exponential(t_end, params, grid)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ledger, transmitted, in_norm, _ = storage._write(
+            f_in, plan_write(2, 1, t_end), params, 0.0, 1.0)
+    assert abs(ledger.amplitudes_by_bin()[1] + 1.0) < 1e-12
+    assert abs(in_norm - 1.0) < 1e-12
+    assert np.all(np.isfinite(transmitted.samples))
+
+
+def test_empty_bin_stores_exactly_zero_on_both_paths(params):
+    bd = 2.5 * params.tau_R
+    write = plan_write(4, 3, bd)
+    read = plan_read(4, 3, bd, time_reversed=True, t0=write.t_end)
+    grid = make_grid(params, write.t_end)
+    level = math.sqrt(params.tau_E / bd / 2)
+    edges = [0.0, bd, 2 * bd, 3 * bd]
+    shape = dynamics._exp_pieces(edges, [level, 0.0, -1j * level, 0.0], [math.inf] * 4,
+                                 edges)
+    f_in = WavePacket(grid, dynamics._node_samples(shape, grid, tuple(edges)),
+                      shape=shape, breakpoints=tuple(edges))
+    for f in (f_in, _rk4_twin(f_in)):
+        rep = end_to_end(f, write, read, params)
+        assert rep.captured[2] == 0.0
+        assert sorted(rep.emitted) == [1, 3]
+        assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_analytic_write_runs_no_rk4_scan(params, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the RK4 scan ran")
+
+    monkeypatch.setattr(storage, "_rk4_recurrence", refuse)
+    monkeypatch.setattr(dynamics, "_rk4_recurrence", refuse)
+    f_in, write, read = _rect_setup(params)
+    assert end_to_end(f_in, write, read, params).fidelity == pytest.approx(1.0, abs=1e-12)
+    assert timebin_qubit_fidelity(0.6, 0.8j, 20 * params.tau_R, params) == pytest.approx(
+        1.0, abs=1e-12)
+
+
+def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
+    calls = []
+    scan = storage._rk4_recurrence
+
+    def counted(big_a, big_b, c0):
+        calls.append(np.shape(big_b))
+        return scan(big_a, big_b, c0)
+
+    monkeypatch.setattr(storage, "_rk4_recurrence", counted)
+    f_in, write, read = _piecewise_setup(params, [0.6, 0.48j, -0.64], 4, True)
+    for f in (f_in, packet_from_samples(f_in.grid, f_in.samples, f_in.breakpoints)):
+        calls.clear()
+        end_to_end(f, write, read, params)
+        assert calls == [(4, 500)]  # three bins and the tail
+
+
+def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
+    built = collections.Counter()
+    times = TimeGrid.times
+
+    def counted(grid):
+        built[grid] += 1
+        return times.fget(grid)
+
+    monkeypatch.setattr(TimeGrid, "times", property(counted))
+    timebin_qubit_report(0.6, 0.8j, 20 * params.tau_R, params)
+    # the write grid and the read grid
+    assert len(built) == 2 and max(built.values()) == 1
+
+
+@pytest.mark.parametrize("lead, tail, rows", [(0, 40, 5 + 41), (30, 0, 31 + 4 + 1)])
+def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
+    # rows are no wider than a bin between two pulses: a long span before
+    # the first pulse or after the last is split, and each piece carries in
+    # the amplitude the one before it left
+    calls = []
+    scan = storage._rk4_recurrence
+
+    def counted(big_a, big_b, c0):
+        calls.append(np.shape(big_b))
+        return scan(big_a, big_b, c0)
+
+    monkeypatch.setattr(storage, "_rk4_recurrence", counted)
+    bd = params.tau_R
+    write = plan_write(8, 5, bd, t0=lead * bd)
+    grid = make_grid(params, write.t_end + tail * bd)
+    on = grid.times < write.t_end
+    samples = 0.05 * math.sqrt(params.tau_E / params.tau_R) * np.exp(1j * grid.times / bd) * on
+    f_in = packet_from_samples(grid, samples, write.times)
+    ledger, transmitted = simulate_write(f_in, write, params)
+    assert calls == [(rows, 200)]
+    # the reference: each span integrated alone from zero, as one row
+    big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
+    edges = storage._bin_edges(grid, write)
+    c = np.empty(grid.n_samples, dtype=complex)
+    captured = []
+    for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
+        c[a:b + 1] = scan(big_a, big_b[a:b], 0.0)
+        captured.append(c[b])
+    want = f_in.samples + math.sqrt(params.tau_E / params.tau_R) * c
+    assert np.max(np.abs(transmitted.samples - want)) < 1e-12 * np.max(np.abs(samples))
+    got = ledger.amplitudes_by_bin()
+    assert max(abs(got[n] - captured[n - 1]) for n in got) < 1e-15
