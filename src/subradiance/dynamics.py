@@ -88,8 +88,6 @@ DEFAULT_STEPS_PER_TAU_R = 200
 MAX_DT_IN_TAU_R = 1.0 / 20.0
 # Largest grid make_grid builds: 160 MB per complex array.
 _MAX_GRID_SAMPLES = 10 ** 7
-# Up to this many pieces, a _Pieces evaluation loops over them in place.
-_FEW_PIECES = 8
 
 
 @dataclass(frozen=True)
@@ -225,9 +223,7 @@ class _Pieces:
     constant, inf on a constant piece.  A rising piece's ref is its end and a
     decaying piece's its start, so the exponent is <= 0 inside the piece: one
     np.exp per point that never overflows (an inf times a zero amplitude would
-    be nan).  A few pieces are evaluated one slice each, in place; many short
-    ones (a read-out of many slots) by np.repeat of their parameters.
-    ``storage`` writes such a packet exactly (``_segments``)."""
+    be nan).  ``storage`` writes such a packet exactly (``_segments``)."""
 
     starts: np.ndarray
     amps: np.ndarray
@@ -242,23 +238,13 @@ class _Pieces:
         if np.any(flat[1:] < flat[:-1]):
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
-        bounds = np.append(np.searchsorted(flat, self.starts), len(flat))
-        counts = np.diff(bounds)
-        live = np.flatnonzero(counts * (self.amps != 0))
-        if len(live) <= _FEW_PIECES:
-            out = np.zeros(len(flat), dtype=complex)
-            for j in live.tolist():
-                x = flat[bounds[j]:bounds[j + 1]] - self.refs[j]
-                x /= self.taus[j]
-                np.exp(x, out=x)
-                np.multiply(x, self.amps[j], out=out[bounds[j]:bounds[j + 1]])
-        else:
-            x = np.repeat(self.refs, counts)
-            np.subtract(flat, x, out=x)
-            x /= np.repeat(self.taus, counts)
-            np.exp(x, out=x)
-            out = np.repeat(self.amps, counts)
-            out *= x
+        counts = np.diff(np.searchsorted(flat, self.starts), append=len(flat))
+        x = np.repeat(self.refs, counts)
+        np.subtract(flat, x, out=x)
+        x /= np.repeat(self.taus, counts)
+        np.exp(x, out=x)
+        out = np.repeat(self.amps, counts)
+        out *= x
         if order is not None:
             out[order] = out.copy()
         return out.reshape(t.shape)
@@ -447,6 +433,14 @@ def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
     return big_a, big_b
 
 
+def _scan_block(big_a, n: int) -> int:
+    """The scan's block length over n steps: the largest L with |A|^-L <= e,
+    at most n (at least 1)."""
+    mod = abs(big_a)
+    # |A| that rounds to 1 gives log|A| = 0: one block, all weights ~1
+    return max(1, n if mod >= 1.0 else min(n, int(-1.0 / np.log(mod))))
+
+
 def _rk4_recurrence(big_a, big_b: np.ndarray, c0) -> np.ndarray:
     """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node, for each
     row of a (rows, n) forcing (or one row of shape (n,)) at once.
@@ -461,9 +455,7 @@ def _rk4_recurrence(big_a, big_b: np.ndarray, c0) -> np.ndarray:
     n = big_b.shape[-1]
     rows = math.prod(big_b.shape[:-1])
     forcing = big_b.reshape(rows, n)
-    mod = abs(big_a)
-    # |A| that rounds to 1 gives log|A| = 0: one block, all weights ~1
-    size = max(1, n if mod >= 1.0 else min(n, int(-1.0 / np.log(mod))))
+    size = _scan_block(big_a, n)
     blocks = -(-n // size)
     y = np.zeros((rows, blocks * size), dtype=complex)
     y[:, :n] = forcing
@@ -587,31 +579,35 @@ def _segments(pieces: _Pieces, p: EnsembleParams, grid: TimeGrid,
 
 def _segment_nodes(seg: _Segments, p: EnsembleParams, grid: TimeGrid,
                    samples: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """c on every node from the exact segments, in O(samples): on a segment
-    c = kappa F + (c(s) - kappa F(s)) e^{-(t - s)/2tau_R} with kappa =
-    -1/(r sqrt(tau_R tau_E)), a factor times the node samples plus one
-    evaluation of decaying pieces.  Near resonance (|r| 2tau_R < 1/4) the
-    two terms would cancel, and the segment's nodes take the direct form of
-    ``_segments``.  A node belongs to the segment its right-sided sample
-    does.  A node on a segment's start holds c(s), 0 on a cut, and the last
-    node holds the left limit."""
+    """c on every node from the exact segments, in O(samples): the form of
+    ``_segments`` with D = t - s on each segment's nodes and F(t) the node
+    samples, built in place.  A node belongs to the segment its right-sided
+    sample does.  A node on a segment's start holds c(s), 0 on a cut, and
+    the last node holds the left limit."""
     n = grid.n_samples
     s = seg.bounds[:-1]
     first = np.clip(np.ceil((s - grid.t0) / grid.dt - 1e-6), 0, n - 1).astype(np.int64)
     two_tr = 2.0 * p.tau_R
     g = 1.0 / math.sqrt(p.tau_R * p.tau_E)
-    near = np.abs(seg.rate) * two_tr < 0.25
-    kappa = -g / np.where(near, np.inf, seg.rate)
-    c = _exp_pieces(times[first], seg.c_start - kappa * seg.f_start,
-                    np.full(len(s), -two_tr), s)(times)
+    c = np.empty(n, dtype=complex)
     for i, (a, b) in enumerate(zip(first.tolist(), [*first[1:].tolist(), n - 1])):
-        if not near[i]:
-            c[a:b] += kappa[i] * samples[a:b]
-            continue
         lag = times[a:b] - s[i]
-        decay = np.exp(-lag / two_tr)
-        f = samples[a:b] if seg.rate[i] >= 0 else seg.f_start[i] * decay
-        c[a:b] = decay * seg.c_start[i] - g * f * lag * _phi(-abs(seg.rate[i]) * lag)
+        rate = abs(seg.rate[i])
+        if rate:
+            # -g D phi(-|r| D) = g expm1(-|r| D) / |r|
+            w = lag * -rate
+            np.expm1(w, out=w)
+            w *= g / rate
+        else:
+            w = lag * -g
+        if seg.rate[i] >= 0:
+            np.multiply(samples[a:b], w, out=c[a:b])
+        else:
+            # taken from F(s): F(s) e^{-D/2tau_R} in place of F(t)
+            w *= np.exp(lag / -two_tr)
+            np.multiply(w, seg.f_start[i], out=c[a:b])
+        if seg.c_start[i]:
+            c[a:b] += np.exp(lag / -two_tr) * seg.c_start[i]
     on = grid.nodes_of(s)
     c[on[on >= 0]] = seg.c_start[on >= 0]
     c[-1] = seg.c_end[-1]

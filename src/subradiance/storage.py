@@ -16,10 +16,11 @@ bins) scalar steps, and the transmitted packet from the same closed form in
 O(samples), with no RK4.  Any other packet is sampled once: its cell values
 give the photon number per grid step (input norm, one-photon check, bin
 norms) and the RK4 forcing, and every bin integrates the local law from zero
-in one blocked scan over rows as long as the longest bin.  Read slots decay
-freely; loss and pulse failure are scalar factors, so stored and emitted
-amplitudes are closed forms.  ``ModeLedger.apply_mask`` is the mask-by-mask
-reference model.
+in one blocked scan over rows of at most one scan block, a longer bin split
+into rows that carry the amplitude on.  Read slots decay freely; loss and
+pulse failure are scalar factors, so stored and emitted amplitudes are
+closed forms.  ``ModeLedger.apply_mask`` is the mask-by-mask reference
+model.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket,
                        _cell_values, _exp_pieces, _node_samples, _photon_density,
                        _Pieces, _require_fine_grid, _require_one_photon,
-                       _rk4_forcing, _rk4_recurrence, _segment_nodes, _segments,
-                       make_grid)
+                       _rk4_forcing, _rk4_recurrence, _scan_block, _segment_nodes,
+                       _segments, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
 from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
@@ -251,10 +252,10 @@ def _write_rk4(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams, times):
     big_a, big_b = _rk4_forcing(cells, grid.dt, p)
     del cells  # three grid-length arrays, not needed by the scan
     spans = [(a, b) for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]) if b > a]
-    # rows as long as the longest bin between two pulses: a longer span
-    # (before the first pulse, after the last) is split into rows, and each
-    # row carries in the amplitude the one before it left
-    width = max(b - a for a, b in spans[1:len(edges)] or spans)
+    # rows of at most one scan block, so the forcing holds at most bins x L
+    # + n values: a longer span is split into rows, and each row carries in
+    # the amplitude the one before it left, as the scan's blocks do
+    width = _scan_block(big_a, max(b - a for a, b in spans))
     rows = [(k, min(k + width, b)) for a, b in spans for k in range(a, b, width)]
     forcing = np.zeros((len(rows), width), dtype=complex)
     for row, (a, b) in zip(forcing, rows):

@@ -295,22 +295,6 @@ def test_rk4_recurrence_rows_match_single_rows(params):
     assert not np.any(rows[-1])
 
 
-def test_piece_evaluation_paths_agree(params, monkeypatch):
-    # few pieces are evaluated slice by slice, many by np.repeat: same bits
-    rng = np.random.default_rng(5)
-    starts = np.sort(rng.uniform(0.0, 10.0, size=12))
-    shape = dynamics._exp_pieces(starts, rng.normal(size=12) + 1j * rng.normal(size=12),
-                                 rng.choice([-2.0, 3.0, np.inf], size=12), starts)
-    t = np.linspace(-1.0, 12.0, 4001)
-    few, many = [], []
-    for limit, out in ((100, few), (0, many)):
-        monkeypatch.setattr(dynamics, "_FEW_PIECES", limit)
-        out.append(shape(t))
-        out.append(shape(t[::-1]))
-    assert few[0].tobytes() == many[0].tobytes()
-    assert few[1].tobytes() == many[1].tobytes() == few[0][::-1].tobytes()
-
-
 def test_closed_forms_match_their_formulas(params):
     # the exact propagator against the formulas in the docstrings
     grid = make_grid(params, 6 * params.tau_R, t0=0.3 * params.tau_R)

@@ -492,10 +492,10 @@ def test_exact_write_of_a_resonant_recall(params):
     _assert_paths_agree(output, again, params)
 
 
-@pytest.mark.parametrize("x", [1e-9, -1e-9, 0.2, -0.2, 0.3, -0.3])
+@pytest.mark.parametrize("x", [1e-9, -1e-9, 0.3, -0.3])
 def test_exact_write_near_resonance(params, x):
     # tau = -2 tau_R / (1 - x): 2 tau_R (1/tau + 1/2tau_R) = x, on either
-    # side of the resonance and of the switch to the direct form at 1/4
+    # side of the resonance, close to it and farther off
     bd = 2.5 * params.tau_R
     write = plan_write(4, 3, bd)
     grid = make_grid(params, write.t_end)
@@ -563,7 +563,8 @@ def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
     for f in (f_in, packet_from_samples(f_in.grid, f_in.samples, f_in.breakpoints)):
         calls.clear()
         end_to_end(f, write, read, params)
-        assert calls == [(4, 500)]  # three bins and the tail
+        # three bins and the tail, 500 steps each: two rows of one block each
+        assert calls == [(8, 400)]
 
 
 def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
@@ -580,11 +581,10 @@ def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
     assert len(built) == 2 and max(built.values()) == 1
 
 
-@pytest.mark.parametrize("lead, tail, rows", [(0, 40, 5 + 41), (30, 0, 31 + 4 + 1)])
-def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
-    # rows are no wider than a bin between two pulses: a long span before
-    # the first pulse or after the last is split, and each piece carries in
-    # the amplitude the one before it left
+def _assert_rows_carry(params, monkeypatch, write, grid):
+    """A sampled write over ``write`` on ``grid``: its one scan has rows of
+    at most one scan block, and its amplitudes are those of each span
+    integrated alone from zero; returns the forcing's shape."""
     calls = []
     scan = storage._rk4_recurrence
 
@@ -594,16 +594,17 @@ def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
 
     monkeypatch.setattr(storage, "_rk4_recurrence", counted)
     bd = params.tau_R
-    write = plan_write(8, 5, bd, t0=lead * bd)
-    grid = make_grid(params, write.t_end + tail * bd)
-    on = grid.times < write.t_end
+    on = grid.times < write.times[-1]
     samples = 0.05 * math.sqrt(params.tau_E / params.tau_R) * np.exp(1j * grid.times / bd) * on
     f_in = packet_from_samples(grid, samples, write.times)
     ledger, transmitted = simulate_write(f_in, write, params)
-    assert calls == [(rows, 200)]
-    # the reference: each span integrated alone from zero, as one row
     big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
     edges = storage._bin_edges(grid, write)
+    block = dynamics._scan_block(big_a, grid.n_samples)
+    [(rows, width)] = calls
+    assert width <= block
+    assert rows * width <= write.bins * block + grid.n_samples
+    # the reference: each span integrated alone from zero, as one row
     c = np.empty(grid.n_samples, dtype=complex)
     captured = []
     for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
@@ -613,3 +614,26 @@ def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
     assert np.max(np.abs(transmitted.samples - want)) < 1e-12 * np.max(np.abs(samples))
     got = ledger.amplitudes_by_bin()
     assert max(abs(got[n] - captured[n - 1]) for n in got) < 1e-15
+    return rows, width
+
+
+@pytest.mark.parametrize("lead, tail, rows", [(0, 40, 5 + 21), (30, 0, 16 + 4 + 1)])
+def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
+    # a span longer than one scan block (400 steps here) is split into rows,
+    # and each row carries in the amplitude the one before it left
+    write = plan_write(8, 5, params.tau_R, t0=lead * params.tau_R)
+    grid = make_grid(params, write.t_end + tail * params.tau_R)
+    assert _assert_rows_carry(params, monkeypatch, write, grid) == (rows, 400)
+
+
+def test_sampled_write_with_uneven_bins_bounds_its_forcing(params, monkeypatch):
+    # a hand-made plan: one bin of 100 tau_R among 62 of a tenth of tau_R;
+    # rows padded to the longest bin would hold 63 x 20,000 values
+    bd = params.tau_R / 10
+    write = plan_write(64, 63, bd)
+    times = np.cumsum([bd] * 30 + [1000 * bd] + [bd] * 32)
+    write = dataclasses.replace(write, times=tuple(times.tolist()))
+    assert verify_plan(write).ok
+    grid = make_grid(params, times[-1] + bd)
+    # 62 short bins, 50 rows for the long one, 1 for the tail
+    assert _assert_rows_carry(params, monkeypatch, write, grid) == (62 + 50 + 1, 400)
