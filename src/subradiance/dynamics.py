@@ -603,7 +603,7 @@ def _segment_nodes(seg: _Segments, p: EnsembleParams, grid: TimeGrid,
         if seg.rate[i] >= 0:
             np.multiply(samples[a:b], w, out=c[a:b])
         else:
-            # taken from F(s): F(s) e^{-D/2tau_R} in place of F(t)
+            # r < 0: from F(s) e^{-D/2tau_R}, so no exponent is positive
             w *= np.exp(lag / -two_tr)
             np.multiply(w, seg.f_start[i], out=c[a:b])
         if seg.c_start[i]:
