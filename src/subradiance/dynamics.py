@@ -32,18 +32,22 @@ Such a packet also has an exact write.  The law is linear, so on each
 piece F(t) = F(s) e^{(t-s)/tau} the amplitude is e^{-(t-s)/2tau_R} c(s) plus
 one exponential integral of the forcing (``_segments``; Hochbruck &
 Ostermann, Acta Numerica 19, 2010, treat such exponential integrators in
-general).  ``storage`` writes these packets from their pieces in O(pieces +
-bins) scalar steps and samples the amplitude on the nodes in O(samples)
-(``_segment_nodes``); ``closed_form_rectangular`` and ``closed_form_rising``
-are the same propagator.  ``evolve_amplitude`` and ``forward_scatter`` stay
-on RK4, as do sampled packets and user shapes.
+general).  ``closed_form_rectangular`` and ``closed_form_rising`` are this
+propagator.  ``evolve_amplitude`` and ``forward_scatter`` stay on RK4.
+
+The write of ``storage`` is one call, ``_bins_from_zero``: c starts from 0
+and restarts from 0 at every bin edge.  A piecewise-exponential packet is
+written from its pieces in O(pieces + bins) scalar steps, and c sampled on
+the nodes in O(samples) (``_segment_nodes``); any other packet (a user
+shape, or samples only) by one RK4 scan that restarts at the bin edges.
 
 The recurrence runs as a blocked prefix scan in numpy (Blelloch 1990; Martin
 & Cundy 2018): within a block of L steps a cumulative sum of B[j] A^-j,
-across blocks a Python loop of n/L steps that carries the amplitude in.  L
-is the largest block with |A|^-L <= e (about 2 tau_R/dt, 400 steps at the
-default grid, 40 at the coarsest allowed), so the scan's weights stay below
-e; it is the whole grid when |A| rounds to 1.  scipy.signal.lfilter would
+across blocks a Python loop of about n/L steps that carries the amplitude
+in, 0 after a restart.  L is the largest block with |A|^-L <= e (about
+2 tau_R/dt, 400 steps at the default grid, 40 at the coarsest allowed), so
+the scan's weights stay below e; it is the whole grid when |A| rounds to 1.
+Blocks start at node 0 and at every restart.  scipy.signal.lfilter would
 run the same recurrence, but importing it costs about 1.5 s and 100 MB, and
 the package needs only numpy.
 """
@@ -223,7 +227,7 @@ class _Pieces:
     constant, inf on a constant piece.  A rising piece's ref is its end and a
     decaying piece's its start, so the exponent is <= 0 inside the piece: one
     np.exp per point that never overflows (an inf times a zero amplitude would
-    be nan).  ``storage`` writes such a packet exactly (``_segments``)."""
+    be nan).  The write takes such a packet exactly (``_segments``)."""
 
     starts: np.ndarray
     amps: np.ndarray
@@ -441,38 +445,42 @@ def _scan_block(big_a, n: int) -> int:
     return max(1, n if mod >= 1.0 else min(n, int(-1.0 / np.log(mod))))
 
 
-def _rk4_recurrence(big_a, big_b: np.ndarray, c0) -> np.ndarray:
-    """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node, for each
-    row of a (rows, n) forcing (or one row of shape (n,)) at once.
+def _rk4_recurrence(big_a, big_b: np.ndarray, c0, restarts=()) -> np.ndarray:
+    """Amplitudes c[0] = c0, c[k+1] = A c[k] + B[k] at every node, where c
+    restarts from 0 at each of the increasing ``restarts`` nodes: there
+    c[k+1] = B[k], while c[k] holds the left limit A c[k-1] + B[k-1].
 
     A blocked prefix scan: inside a block of L steps the response to the
     block's own forcing is y_i = A^i cumsum_j(B_j A^-j), and the amplitude
     carried in from the previous block adds carry A^(i+1).  L is the largest
-    block with |A|^-L <= e, so no weight A^-j exceeds e.  Each row's result
-    is the one it would get alone: its blocks start at its own first step.
+    block with |A|^-L <= e, so no weight A^-j exceeds e, and at most the
+    longest span between restarts.  Blocks start at node 0 and at every
+    restart, so each span gets, to the bit, what it gets scanned alone; the
+    blocks hold at most n + spans x L values however uneven the spans are.
     """
-    big_b = np.asarray(big_b)
-    n = big_b.shape[-1]
-    rows = math.prod(big_b.shape[:-1])
-    forcing = big_b.reshape(rows, n)
-    size = _scan_block(big_a, n)
-    blocks = -(-n // size)
-    y = np.zeros((rows, blocks * size), dtype=complex)
-    y[:, :n] = forcing
-    y = y.reshape(rows, blocks, size)
+    n = len(big_b)
+    bounds = [0, *restarts, n]
+    size = _scan_block(big_a, int(np.diff(bounds).max()))
+    # blocks of at most L steps, each inside one span between restarts
+    blocks = [(s, min(s + size, b)) for a, b in zip(bounds, bounds[1:])
+              for s in range(a, b, size)]
+    y = np.zeros((len(blocks), size), dtype=complex)
+    for row, (s, e) in zip(y, blocks):
+        row[:e - s] = big_b[s:e]
     powers = big_a ** np.arange(size + 1)
     y /= powers[:-1]
-    np.cumsum(y, axis=2, out=y)
+    np.cumsum(y, axis=1, out=y)
     y *= powers[:-1]
-    c = np.empty((rows, n + 1), dtype=complex)
-    c[:, 0] = c0
-    carry = c[:, :1].copy()
-    for k in range(blocks):
-        block = y[:, k]
-        block += carry * powers[1:]
-        carry = block[:, -1:]
-    c[:, 1:] = y.reshape(rows, -1)[:, :n]
-    return c.reshape(*big_b.shape[:-1], n + 1)
+    c = np.empty(n + 1, dtype=complex)
+    c[0] = c0
+    carry, opens = c[0], set(bounds[1:-1])
+    for row, (s, e) in zip(y, blocks):
+        if s in opens:
+            carry = np.complex128(0)
+        row += carry * powers[1:]
+        carry = row[-1]
+        c[s + 1:e + 1] = row[:e - s]
+    return c
 
 
 def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
@@ -619,6 +627,46 @@ def _exact_trajectory(f: WavePacket, p: EnsembleParams) -> AmplitudeTrajectory:
     seg = _segments(f.shape, p, f.grid, [f.grid.t0])
     return AmplitudeTrajectory(
         f.grid, _segment_nodes(seg, p, f.grid, f.samples, f.grid.times))
+
+
+def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends,
+                    times: np.ndarray | None = None):
+    """The write's integration: c from 0 at t0, restarting from 0 at every
+    bin end, on the increasing nodes ``edges`` at the times ``ends``.
+
+    Returns the input's photon number; c on the nodes, 0 on each bin-start
+    node and the left limit on the last; and each bin's captured amplitude
+    (the left limit of c at its end), photon number and int F.  Exact for a
+    piecewise-exponential ``f.shape`` (``_segments``), else one RK4 scan of
+    the cell values with ``restarts=edges``.  ``times`` are the grid's
+    times, if already built.
+    """
+    grid = f.grid
+    if isinstance(f.shape, _Pieces):
+        # bins end on the pulses' own times, within 1e-6 dt of their nodes
+        cut_times = [grid.t0, *ends]
+        seg = _segments(f.shape, p, grid, cut_times)
+        photons, flux = seg.photons, seg.flux
+        in_norm = _require_one_photon(float(np.sum(photons)))
+        _require_fine_grid(grid.dt, p)
+        c = _segment_nodes(seg, p, grid, f.samples, grid.times if times is None else times)
+        # the segments of bin n run from the n-th cut to the next one
+        at = np.searchsorted(seg.bounds, cut_times)
+        captured = seg.c_end[at[1:] - 1]
+    else:
+        cells = _cell_values(f)
+        photons = _photon_density(cells, grid.dt, p)
+        in_norm = _require_one_photon(float(np.sum(photons)))
+        big_a, big_b = _rk4_forcing(cells, grid.dt, p)
+        del cells  # three grid-length arrays, not needed by the scan
+        c = _rk4_recurrence(big_a, big_b, 0.0, edges)
+        captured = c[edges]
+        c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
+        # a bin's flux is the sum of its samples (the edge node opens the next bin)
+        at, flux = [0, *edges], f.samples
+    numbers, sums = ([np.add.reduceat(v[:at[-1]], at[:-1]).tolist() for v in (photons, flux)]
+                     if edges else ([], []))
+    return in_norm, c, captured, numbers, sums
 
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,

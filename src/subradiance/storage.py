@@ -7,20 +7,15 @@ decay (the 1/(N-2)-suppressed rates) can be switched on as a uniform
 amplitude loss for sensitivity studies; it defaults to zero.
 
 ``verify_plan`` is the only replay of the sign algebra: it fixes every read
-slot's bin and sign, for active and passive plans alike.  The write has two
-paths, chosen by the input packet's type.  A piecewise-exponential packet
-(its ``shape`` a ``dynamics._Pieces``: rectangular, rising exponential,
-time-bin qubit, a recall fed back in) is written exactly: each bin's captured
-amplitude, photon number and flux int F come from the pieces in O(pieces +
-bins) scalar steps, and the transmitted packet from the same closed form in
-O(samples), with no RK4.  Any other packet is sampled once: its cell values
-give the photon number per grid step (input norm, one-photon check, bin
-norms) and the RK4 forcing, and every bin integrates the local law from zero
-in one blocked scan over rows of at most one scan block, a longer bin split
-into rows that carry the amplitude on.  Read slots decay freely; loss and
-pulse failure are scalar factors, so stored and emitted amplitudes are
-closed forms.  ``ModeLedger.apply_mask`` is the mask-by-mask reference
-model.
+slot's bin and sign, for active and passive plans alike.  The write is one
+call, ``dynamics._bins_from_zero``: the local law from c = 0, restarting
+from 0 at every bin edge.  It is exact for a piecewise-exponential packet
+(rectangular, rising exponential, time-bin qubit, a recall fed back in), in
+O(pieces + bins) scalar steps plus O(samples) for the transmitted packet,
+and one RK4 scan of the cell values, sampled once, for any other.  Read
+slots decay freely; loss and pulse failure are scalar factors, so stored and
+emitted amplitudes are closed forms.  ``ModeLedger.apply_mask`` is the
+mask-by-mask reference model.
 """
 
 from __future__ import annotations
@@ -30,11 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket,
-                       _cell_values, _exp_pieces, _node_samples, _photon_density,
-                       _Pieces, _require_fine_grid, _require_one_photon,
-                       _rk4_forcing, _rk4_recurrence, _scan_block, _segment_nodes,
-                       _segments, make_grid)
+from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket, _bins_from_zero,
+                       _exp_pieces, _node_samples, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
 from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
@@ -188,8 +180,11 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     grid's times, if already built."""
     report = _require_verified(plan)
     grid = f_in.grid
-    write = _write_exact if isinstance(f_in.shape, _Pieces) else _write_rk4
-    in_norm, edges, c_full, captured, numbers, sums = write(f_in, plan, p, times)
+    edges = _bin_edges(grid, plan)
+    if edges and edges[0] == 0:
+        raise PlanError("first write pulse coincides with the grid start")
+    in_norm, c_full, captured, numbers, sums = _bins_from_zero(
+        f_in, p, edges, plan.times[len(plan.times) - plan.bins:], times)
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
     stored = (np.array(captured, dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
@@ -209,75 +204,6 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     f_bins = {n: math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
               for n, (s, m) in enumerate(zip(sums, numbers), start=1)}
     return ledger, transmitted, in_norm, f_bins
-
-
-def _write_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
-    edges = _bin_edges(grid, plan)
-    if edges and edges[0] == 0:
-        raise PlanError("first write pulse coincides with the grid start")
-    return edges
-
-
-def _write_exact(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams, times):
-    """The write of a piecewise-exponential packet from its pieces: each
-    bin's captured amplitude, photon number and flux int F in O(pieces +
-    bins) scalar steps, and c on the nodes in O(samples)."""
-    grid = f_in.grid
-    edges = _write_edges(grid, plan)
-    # bins end on the pulses' own times, within 1e-6 dt of their nodes
-    cut_times = [grid.t0, *plan.times[len(plan.times) - plan.bins:]]
-    seg = _segments(f_in.shape, p, grid, cut_times)
-    in_norm = _require_one_photon(float(np.sum(seg.photons)))
-    _require_fine_grid(grid.dt, p)
-    if times is None:
-        times = grid.times
-    c_full = _segment_nodes(seg, p, grid, f_in.samples, times)
-    # the segments of bin n run from the n-th cut to the next one
-    at = np.searchsorted(seg.bounds, cut_times)
-    captured = seg.c_end[at[1:] - 1]
-    numbers, sums = ([np.add.reduceat(v[:at[-1]], at[:-1]).tolist()
-                      for v in (seg.photons, seg.flux)] if edges else ([], []))
-    return in_norm, edges, c_full, captured, numbers, sums
-
-
-def _write_rk4(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams, times):
-    """The write of any other packet on its cell values: every bin
-    integrates from c = 0, all of them in one RK4 scan over a (rows, n)
-    forcing."""
-    grid = f_in.grid
-    cells = _cell_values(f_in)
-    density = _photon_density(cells, grid.dt, p)
-    in_norm = _require_one_photon(float(np.sum(density)))
-    edges = _write_edges(grid, plan)
-    big_a, big_b = _rk4_forcing(cells, grid.dt, p)
-    del cells  # three grid-length arrays, not needed by the scan
-    spans = [(a, b) for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]) if b > a]
-    # rows of at most one scan block, so the forcing holds at most bins x L
-    # + n values: a longer span is split into rows, and each row carries in
-    # the amplitude the one before it left, as the scan's blocks do
-    width = _scan_block(big_a, max(b - a for a, b in spans))
-    rows = [(k, min(k + width, b)) for a, b in spans for k in range(a, b, width)]
-    forcing = np.zeros((len(rows), width), dtype=complex)
-    for row, (a, b) in zip(forcing, rows):
-        row[:b - a] = big_b[a:b]
-    del big_b
-    scans = _rk4_recurrence(big_a, forcing, 0.0)
-    powers = big_a ** np.arange(width + 1)
-    c_full = np.empty(grid.n_samples, dtype=complex)
-    opens, ends, captured = {0, *edges}, set(edges), []
-    for scan, (a, b) in zip(scans, rows):
-        if a not in opens:
-            scan += c_full[a] * powers
-        c_full[a:b + 1] = scan[:b - a + 1]
-        if b in ends:
-            captured.append(scan[b - a])
-    # a bin's flux is the sum of its samples (the edge node opens the next bin)
-    numbers, sums = [], []
-    if edges:
-        starts, end = [0, *edges[:-1]], edges[-1]
-        sums = np.add.reduceat(f_in.samples[:end], starts).tolist()
-        numbers = np.add.reduceat(density[:end], starts).tolist()
-    return in_norm, edges, c_full, captured, numbers, sums
 
 
 def simulate_read(

@@ -275,24 +275,33 @@ def test_rk4_recurrence_matches_step_loop(params):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_rk4_recurrence_rows_match_single_rows(params):
-    # every row of a (rows, n) forcing gets what it gets alone, to the bit;
-    # a zero row stays exactly zero
+@pytest.mark.parametrize("restarts", [
+    [],
+    [1, 400, 801],  # spans of 1, 399, 401 and 1302 steps: longer than L = 400
+    [5, 6, 7, 2103],  # adjacent restarts, and one on the last node
+    [1000, 1001],  # the longest span first
+    list(range(300, 2103, 300)),  # every span shorter than L: blocks of 300
+], ids=["none", "long-spans", "adjacent-and-last", "longest-first", "short-spans"])
+def test_rk4_recurrence_restarts_match_spans_scanned_alone(params, restarts):
+    # each span between restarts gets, to the bit, what it gets scanned
+    # alone from 0 (from c0 for the first); a restart node holds the left
+    # limit, which is the end of the span before it
     rng = np.random.default_rng(23)
-    dt = params.tau_R / 200
-    lengths = (0, 1, 399, 400, 401, 1303)
-    cells = [rng.normal(size=max(lengths)) + 1j * rng.normal(size=max(lengths))
-             for _ in range(3)]
-    big_a, big_b = _rk4_forcing(cells, dt, params)
-    forcing = np.zeros((len(lengths) + 1, max(lengths)), dtype=complex)
-    for row, m in zip(forcing, lengths):
-        row[:m] = big_b[:m]
-    c0 = np.array([0.0, 0.3j, 0.0, 0.6, 0.0, -0.2, 0.0])
-    rows = _rk4_recurrence(big_a, forcing, c0)
-    for row, m, start in zip(rows, lengths, c0):
-        alone = _rk4_recurrence(big_a, big_b[:m], start)
-        assert row[:m + 1].tobytes() == alone.tobytes()
-    assert not np.any(rows[-1])
+    n = 2103
+    cells = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+    big_a, big_b = _rk4_forcing(cells, params.tau_R / 200, params)
+    assert int(-1.0 / np.log(big_a)) == 400
+    c0 = 0.6 * np.exp(0.3j)
+    got = _rk4_recurrence(big_a, big_b, c0, restarts)
+    assert got.shape == (n + 1,) and got[0] == c0
+    bounds = [0, *restarts, n]
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        alone = _rk4_recurrence(big_a, big_b[a:b], c0 if i == 0 else 0.0)
+        assert got[a + 1:b + 1].tobytes() == alone[1:].tobytes()
+    # a restart discards what was carried: zero forcing after one stays zero
+    quiet = big_b.copy()
+    quiet[1000:] = 0.0
+    assert not np.any(_rk4_recurrence(big_a, quiet, c0, [1000])[1001:])
 
 
 def test_closed_forms_match_their_formulas(params):

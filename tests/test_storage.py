@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,10 +540,9 @@ def test_empty_bin_stores_exactly_zero_on_both_paths(params):
 
 
 def test_analytic_write_runs_no_rk4_scan(params, monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the RK4 scan ran")
 
-    monkeypatch.setattr(storage, "_rk4_recurrence", refuse)
     monkeypatch.setattr(dynamics, "_rk4_recurrence", refuse)
     f_in, write, read = _rect_setup(params)
     assert end_to_end(f_in, write, read, params).fidelity == pytest.approx(1.0, abs=1e-12)
@@ -550,21 +550,29 @@ def test_analytic_write_runs_no_rk4_scan(params, monkeypatch):
         1.0, abs=1e-12)
 
 
-def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
+def _counted_scans(monkeypatch):
+    """Record the step count and the restarts of every RK4 scan; returns
+    the record and the scan itself."""
     calls = []
-    scan = storage._rk4_recurrence
+    scan = dynamics._rk4_recurrence
 
-    def counted(big_a, big_b, c0):
-        calls.append(np.shape(big_b))
-        return scan(big_a, big_b, c0)
+    def counted(big_a, big_b, c0, restarts=()):
+        calls.append((len(big_b), list(restarts)))
+        return scan(big_a, big_b, c0, restarts)
 
-    monkeypatch.setattr(storage, "_rk4_recurrence", counted)
+    monkeypatch.setattr(dynamics, "_rk4_recurrence", counted)
+    return calls, scan
+
+
+def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
+    calls, _ = _counted_scans(monkeypatch)
     f_in, write, read = _piecewise_setup(params, [0.6, 0.48j, -0.64], 4, True)
     for f in (f_in, packet_from_samples(f_in.grid, f_in.samples, f_in.breakpoints)):
         calls.clear()
         end_to_end(f, write, read, params)
-        # three bins and the tail, 500 steps each: two rows of one block each
-        assert calls == [(8, 400)]
+        # three bins and the tail, 500 steps each: one scan that restarts
+        # at every bin end
+        assert calls == [(2000, [500, 1000, 1500])]
 
 
 def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
@@ -581,59 +589,67 @@ def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
     assert len(built) == 2 and max(built.values()) == 1
 
 
-def _assert_rows_carry(params, monkeypatch, write, grid):
-    """A sampled write over ``write`` on ``grid``: its one scan has rows of
-    at most one scan block, and its amplitudes are those of each span
-    integrated alone from zero; returns the forcing's shape."""
-    calls = []
-    scan = storage._rk4_recurrence
-
-    def counted(big_a, big_b, c0):
-        calls.append(np.shape(big_b))
-        return scan(big_a, big_b, c0)
-
-    monkeypatch.setattr(storage, "_rk4_recurrence", counted)
-    bd = params.tau_R
+def _sampled_input(params, write, grid):
+    """A packet given only as samples, a slow chirp up to the last write pulse."""
     on = grid.times < write.times[-1]
-    samples = 0.05 * math.sqrt(params.tau_E / params.tau_R) * np.exp(1j * grid.times / bd) * on
-    f_in = packet_from_samples(grid, samples, write.times)
+    samples = (0.05 * math.sqrt(params.tau_E / params.tau_R)
+               * np.exp(1j * grid.times / params.tau_R) * on)
+    return packet_from_samples(grid, samples, write.times)
+
+
+def _assert_bins_restart(params, monkeypatch, write, grid):
+    """A sampled write over ``write`` on ``grid``: it runs one scan that
+    restarts at the bin edges, and its amplitudes are those of each span
+    integrated alone from zero; returns the scan's block count and length."""
+    calls, scan = _counted_scans(monkeypatch)
+    f_in = _sampled_input(params, write, grid)
     ledger, transmitted = simulate_write(f_in, write, params)
     big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
     edges = storage._bin_edges(grid, write)
-    block = dynamics._scan_block(big_a, grid.n_samples)
-    [(rows, width)] = calls
-    assert width <= block
-    assert rows * width <= write.bins * block + grid.n_samples
-    # the reference: each span integrated alone from zero, as one row
+    assert calls == [(grid.n_samples - 1, edges)]
+    # the reference: each span integrated alone from zero
     c = np.empty(grid.n_samples, dtype=complex)
     captured = []
-    for a, b in zip([0, *edges], [*edges, grid.n_samples - 1]):
+    bounds = [0, *edges, grid.n_samples - 1]
+    for a, b in zip(bounds[:-1], bounds[1:]):
         c[a:b + 1] = scan(big_a, big_b[a:b], 0.0)
         captured.append(c[b])
     want = f_in.samples + math.sqrt(params.tau_E / params.tau_R) * c
-    assert np.max(np.abs(transmitted.samples - want)) < 1e-12 * np.max(np.abs(samples))
+    assert np.max(np.abs(transmitted.samples - want)) < 1e-12 * np.max(np.abs(f_in.samples))
     got = ledger.amplitudes_by_bin()
     assert max(abs(got[n] - captured[n - 1]) for n in got) < 1e-15
-    return rows, width
+    spans = np.diff(bounds)
+    block = dynamics._scan_block(big_a, int(spans.max()))
+    return int(np.sum(-(-spans // block))), block
 
 
-@pytest.mark.parametrize("lead, tail, rows", [(0, 40, 5 + 21), (30, 0, 16 + 4 + 1)])
-def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, rows):
-    # a span longer than one scan block (400 steps here) is split into rows,
-    # and each row carries in the amplitude the one before it left
+@pytest.mark.parametrize("lead, tail, blocks", [(0, 40, 5 + 21), (30, 0, 16 + 4 + 1)])
+def test_sampled_write_splits_long_spans(params, monkeypatch, lead, tail, blocks):
+    # a span longer than one scan block (400 steps here) takes several
+    # blocks, and each carries in the amplitude the one before it left
     write = plan_write(8, 5, params.tau_R, t0=lead * params.tau_R)
     grid = make_grid(params, write.t_end + tail * params.tau_R)
-    assert _assert_rows_carry(params, monkeypatch, write, grid) == (rows, 400)
+    assert _assert_bins_restart(params, monkeypatch, write, grid) == (blocks, 400)
 
 
 def test_sampled_write_with_uneven_bins_bounds_its_forcing(params, monkeypatch):
-    # a hand-made plan: one bin of 100 tau_R among 62 of a tenth of tau_R;
-    # rows padded to the longest bin would hold 63 x 20,000 values
+    # a hand-made plan: one bin of 100 tau_R (20,000 steps) among 62 of a
+    # tenth of tau_R; a scan padding every bin to the longest would hold
+    # 63 x 20,000 complex values, 20 MB
     bd = params.tau_R / 10
     write = plan_write(64, 63, bd)
     times = np.cumsum([bd] * 30 + [1000 * bd] + [bd] * 32)
     write = dataclasses.replace(write, times=tuple(times.tolist()))
     assert verify_plan(write).ok
     grid = make_grid(params, times[-1] + bd)
-    # 62 short bins, 50 rows for the long one, 1 for the tail
-    assert _assert_rows_carry(params, monkeypatch, write, grid) == (62 + 50 + 1, 400)
+    # 62 short bins, 50 blocks for the long one, 1 for the tail
+    assert _assert_bins_restart(params, monkeypatch, write, grid) == (62 + 50 + 1, 400)
+    f_in = _sampled_input(params, write, grid)
+    tracemalloc.start()
+    try:
+        simulate_write(f_in, write, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the write holds a few grid-length arrays (2.4 MB here), not 20 MB
+    assert peak < 16 * 16 * grid.n_samples
