@@ -165,19 +165,21 @@ def simulate_write(
     A verified plan never turns a parked row superradiant again, so every
     bin starts from c = 0; bin n, captured as c_n at its edge t_n, is stored
     as c_n s^(bins-n+1) e^{-loss (T - t_n)/2} (s the pulse success amplitude,
-    T the grid end).  Returns the ledger of stored amplitudes and the
-    transmitted (not absorbed) packet on the input grid.
+    T the grid end; ``end_to_end`` charges the hold from T to the read).
+    Returns the ledger of stored amplitudes and the transmitted (not
+    absorbed) packet on the input grid.
     """
     return _write(f_in, plan, p, loss_rate, pulse_success_amplitude)[:2]
 
 
 def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
            loss_rate: float, pulse_success_amplitude: float,
-           times: np.ndarray | None = None):
+           times: np.ndarray | None = None, until: float | None = None):
     """``simulate_write``, exact for a piecewise-exponential packet and on
     the input's cell values, sampled once, for any other; also returns the
     input norm and the input's bin amplitudes.  ``times`` are the input
-    grid's times, if already built."""
+    grid's times, if already built; ``until`` is the time the store is
+    held to, by default the grid's end."""
     report = _require_verified(plan)
     grid = f_in.grid
     edges = _bin_edges(grid, plan)
@@ -186,6 +188,9 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     in_norm, c_full, captured, numbers, sums = _bins_from_zero(
         f_in, p, edges, plan.times[len(plan.times) - plan.bins:], times)
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
+    # a time within 1e-6 dt of the grid's end is the end, as for grid nodes
+    if until is not None and abs(until - grid.t_end) > 1e-6 * grid.dt:
+        held += until - grid.t_end
     stored = (np.array(captured, dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
               * pulse_success_amplitude ** np.arange(len(edges), 0, -1))
@@ -263,7 +268,16 @@ def end_to_end(
     loss_rate: float = 0.0,
     pulse_success_amplitude: float = 1.0,
 ) -> StorageReport:
-    """Write ``f_in`` into subradiant modes, read it back, and score it."""
+    """Write ``f_in`` into subradiant modes, read it back, and score it.
+
+    ``simulate_write`` charges loss up to its grid's end T and
+    ``simulate_read`` from its first slot t_1 on; here the store is held to
+    t_1 instead of T, an extra e^{-loss (t_1 - T)/2}.  So each bin is
+    charged loss for exactly its hold time, from its end to its read slot,
+    however far the input grid runs past the last write pulse or the read
+    starts after it.  ``captured`` and ``write_efficiency`` are the store as
+    of t_1.  A read that starts before the last write pulse is a PlanError.
+    """
     return _end_to_end(f_in, write_plan, read_plan, p, loss_rate,
                        pulse_success_amplitude)
 
@@ -272,8 +286,14 @@ def _end_to_end(f_in: WavePacket, write_plan: PulsePlan, read_plan: PulsePlan,
                 p: EnsembleParams, loss_rate: float, pulse_success_amplitude: float,
                 times: np.ndarray | None = None) -> StorageReport:
     """``end_to_end``; ``times`` are the input grid's times, if already built."""
+    slots = read_plan.times[len(read_plan.times) - read_plan.bins:]
+    # a read before the write's last pulse would be held for negative times
+    if slots and write_plan.times and slots[0] < write_plan.times[-1] - 1e-6 * f_in.grid.dt:
+        raise PlanError(f"read starts at {slots[0]}, before the last write pulse at "
+                        f"{write_plan.times[-1]}")
     ledger, transmitted, in_norm, f_bins = _write(
-        f_in, write_plan, p, loss_rate, pulse_success_amplitude, times)
+        f_in, write_plan, p, loss_rate, pulse_success_amplitude, times,
+        slots[0] if slots else None)
     captured = ledger.amplitudes_by_bin()
     stored_sq = ledger.stored_norm_sq()
     output, record = simulate_read(

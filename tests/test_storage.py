@@ -275,6 +275,40 @@ def test_write_loss_decays_stored(params):
 # read stage and full chain
 # ---------------------------------------------------------------------------
 
+def test_end_to_end_charges_loss_from_each_bin_end_to_its_slot(params):
+    # the write charges loss to its grid's end T and the read from its first
+    # slot t_1: an input grid that runs 10 tau_R past T, or a read that
+    # starts 100 tau_R after it, changes each bin's loss by its hold alone
+    loss = 0.1 / params.tau_R
+    f_in, write, read = _rect_setup(params)
+    bd = write.bin_duration
+    longer = rectangular_packet(params, make_grid(params, write.t_end + 10 * params.tau_R),
+                                3 * bd)
+    later = plan_read(4, 3, bd, time_reversed=True, t0=write.t_end + 100 * params.tau_R)
+    totals = []
+    for f, r in ((f_in, read), (longer, read), (f_in, later)):
+        clean = end_to_end(f, write, r, params)
+        lossy = end_to_end(f, write, r, params, loss)
+        slots = dict(zip(verify_plan(r, write).emission_order, r.times[-r.bins:]))
+        for n, t_slot in slots.items():
+            hold = t_slot - write.times[n - 1]
+            assert lossy.emitted[n] == pytest.approx(
+                clean.emitted[n] * math.exp(-loss * hold / 2), rel=1e-12)
+        totals.append(lossy.total_efficiency)
+    assert totals[0] == pytest.approx(0.38322, abs=1e-5)
+    assert totals[1] == pytest.approx(totals[0], rel=1e-12)
+    assert totals[2] == pytest.approx(totals[0] * math.exp(-10), rel=1e-12)
+    # 300 tau_R past T at 5 / tau_R: e^-750 of loss to T, none of it charged
+    far = rectangular_packet(params, make_grid(params, write.t_end + 300 * params.tau_R),
+                             3 * bd)
+    near = end_to_end(f_in, write, read, params, 50 * loss)
+    assert end_to_end(far, write, read, params, 50 * loss).total_efficiency == pytest.approx(
+        near.total_efficiency, rel=1e-12)
+    # a read before the last write pulse would be held for negative times
+    with pytest.raises(PlanError, match="before the last write pulse"):
+        end_to_end(f_in, write, plan_read(4, 3, bd, time_reversed=True), params, loss)
+
+
 def test_read_releases_in_plan_order(params):
     f_in, write, read = _rect_setup(params, time_reversed=True)
     ledger, _ = simulate_write(f_in, write, params)
