@@ -103,6 +103,10 @@ class PulsePlan:
                 raise PlanError(f"event time {t} is not finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise PlanError("event times must be strictly increasing")
+        if (isinstance(self.bins, bool) or not isinstance(self.bins, int)
+                or not 0 <= self.bins <= len(times)):
+            raise PlanError(f"bins = {self.bins!r} must be a whole number from 0 to "
+                            f"the number of events, {len(times)}")
         try:
             masks = np.array(self.masks)  # a copy, owned by the plan
         except ValueError as exc:
@@ -168,7 +172,7 @@ class PulsePlan:
             masks.append(SignPattern.from_string(_json_field(e, "mask", str, where)).signs)
         return cls(_json_field(doc, "parts", int), times, masks,
                    _json_field(doc, "bin_duration_s", (int, float)), stage,
-                   doc.get("bins", 0))
+                   _json_field(doc, "bins", int) if "bins" in doc else 0)
 
 
 def _json_field(doc, key: str, types, where: str = ""):

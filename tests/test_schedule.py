@@ -321,3 +321,19 @@ def test_plan_rejects_non_finite_times(bad):
     doc["events"][1]["time_s"] = bad
     with pytest.raises(PlanError, match="is not finite"):
         PulsePlan.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bins", ["3", 2.5, True, None, -1, 4])
+def test_plan_rejects_bins_out_of_range_or_not_whole(bins):
+    # a bins count that is no whole number from 0 to the 3 events, read
+    # from JSON or given to the constructor
+    doc = json.loads(WRITE_4_3_JSON)
+    doc["bins"] = bins
+    with pytest.raises(PlanError, match="bins"):
+        PulsePlan.from_json(json.dumps(doc))
+    plan = plan_write(4, 3, 1.0)
+    with pytest.raises(PlanError, match="bins"):
+        PulsePlan(4, plan.times, plan.masks, 1.0, "write", bins)
+    # a document without bins has none
+    del doc["bins"]
+    assert PulsePlan.from_json(json.dumps(doc)).bins == 0
