@@ -37,9 +37,15 @@ propagator.  ``evolve_amplitude`` and ``forward_scatter`` stay on RK4.
 
 The write of ``storage`` is one call, ``_bins_from_zero``: c starts from 0
 and restarts from 0 at every bin edge.  A piecewise-exponential packet is
-written from its pieces in O(pieces + bins) scalar steps, and c sampled on
-the nodes in O(samples) (``_segment_nodes``); any other packet (a user
-shape, or samples only) by one RK4 scan that restarts at the bin edges.
+written from its pieces in O(pieces + bins) scalar steps; c on the nodes
+(``_segment_nodes``, O(samples)) is left to a sampler that runs only when
+the transmitted packet is read.  Any other packet (a user shape, or samples
+only) is written by one RK4 scan that restarts at the bin edges.
+
+The analytic packets (``_shape_packet``), the transmitted packet and the
+read-out are lazy (``_lazy_packet``): their node samples, and the grid's
+times (``TimeGrid.times``, built once per grid), are made on first read.  A write
+and read of analytic packets that no caller samples allocates no grid.
 
 The recurrence runs as a blocked prefix scan in numpy (Blelloch 1990; Martin
 & Cundy 2018): within a block of L steps a cumulative sum of B[j] A^-j,
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -108,9 +115,13 @@ class TimeGrid:
         if self.n_samples < 2:
             raise GridError("a grid needs at least two samples")
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        """Node times, built on first read and kept: read-only, since every
+        packet on the grid shares them."""
+        times = self.t0 + self.dt * np.arange(self.n_samples)
+        times.flags.writeable = False
+        return times
 
     @property
     def t_end(self) -> float:
@@ -145,6 +156,10 @@ class WavePacket:
     breakpoint nodes, for 4th-order integration and quadrature.
     ``breakpoints`` lists times (expected on grid nodes) where F is allowed
     to jump; node samples store the right-sided limit there.
+
+    The package's own packets (``rectangular_packet``, ``rising_exponential``,
+    and the transmitted and read-out packets of ``storage``) are lazy: their
+    ``samples`` are built on first read and then kept.
     """
 
     grid: TimeGrid
@@ -155,6 +170,36 @@ class WavePacket:
     def __post_init__(self):
         if len(self.samples) != self.grid.n_samples:
             raise GridError("sample count does not match grid")
+
+    def __getattr__(self, name):
+        # only reached while a lazy packet's samples are unset: build them
+        sampler = self.__dict__.get("_sampler")
+        if name != "samples" or sampler is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        samples = sampler()
+        if len(samples) != self.grid.n_samples:
+            raise GridError("sample count does not match grid")
+        self.__dict__["samples"] = samples
+        # the sampler's closure (a write's amplitudes, an input) is let go
+        self.__dict__.pop("_sampler", None)
+        return samples
+
+
+def _lazy_packet(grid: TimeGrid, sampler: Callable[[], np.ndarray], shape=None,
+                 breakpoints: tuple[float, ...] = ()) -> WavePacket:
+    """A packet whose samples are ``sampler()``, called on their first read.
+    The sampler must return a fresh array on every call, so that one that
+    runs twice (two threads) gives the same samples."""
+    f = object.__new__(WavePacket)
+    f.__dict__.update(grid=grid, shape=shape, breakpoints=breakpoints, _sampler=sampler)
+    return f
+
+
+def _shape_packet(grid: TimeGrid, shape, breakpoints: tuple[float, ...]) -> WavePacket:
+    """The packet of an analytic ``shape``, sampled by ``_node_samples`` on
+    first read."""
+    return _lazy_packet(grid, partial(_node_samples, shape, grid, breakpoints), shape,
+                        breakpoints)
 
 
 @dataclass(frozen=True)
@@ -203,8 +248,7 @@ def rectangular_packet(p: EnsembleParams, grid: TimeGrid, tau_ph: float,
     t_stop = t_start + tau_ph
     shape = _exp_pieces([t_start, t_stop], [amp, 0.0], [np.inf, np.inf],
                         [t_start, t_stop])
-    return WavePacket(grid, _node_samples(shape, grid, (t_start, t_stop)),
-                      shape=shape, breakpoints=(t_start, t_stop))
+    return _shape_packet(grid, shape, (t_start, t_stop))
 
 
 def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WavePacket:
@@ -215,8 +259,7 @@ def rising_exponential(t_end: float, p: EnsembleParams, grid: TimeGrid) -> WaveP
     """
     shape = _exp_pieces([-np.inf, t_end], [np.sqrt(p.tau_E / p.tau_R), 0.0],
                         [2.0 * p.tau_R, np.inf], [t_end, t_end])
-    return WavePacket(grid, _node_samples(shape, grid, (t_end,)), shape=shape,
-                      breakpoints=(t_end,))
+    return _shape_packet(grid, shape, (t_end,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +323,11 @@ def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
     return set(k[k >= 0].tolist())
 
 
-def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...],
-                  times: np.ndarray | None = None) -> np.ndarray:
+def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:
     """Node values of ``shape``, right-sided at the breakpoint nodes: those
     are sampled a nudge to the right, since a node's grid time may round just
-    below its breakpoint.  ``times`` are the grid's times, if already built."""
-    if times is None:
-        times = grid.times
+    below its breakpoint."""
+    times = grid.times
     # a copy unless the shape returns a fresh complex array, as _Pieces does
     samples = np.asarray(shape(times), dtype=complex)
     jumps = sorted(_jump_nodes(grid, breakpoints))
@@ -585,13 +626,14 @@ def _segments(pieces: _Pieces, p: EnsembleParams, grid: TimeGrid,
                      photons, flux)
 
 
-def _segment_nodes(seg: _Segments, p: EnsembleParams, grid: TimeGrid,
-                   samples: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """c on every node from the exact segments, in O(samples): the form of
-    ``_segments`` with D = t - s on each segment's nodes and F(t) the node
-    samples, built in place.  A node belongs to the segment its right-sided
-    sample does.  A node on a segment's start holds c(s), 0 on a cut, and
-    the last node holds the left limit."""
+def _segment_nodes(seg: _Segments, p: EnsembleParams, f: WavePacket) -> np.ndarray:
+    """c on every node of ``f``'s grid from the exact segments of ``f``, in
+    O(samples): the form of ``_segments`` with D = t - s on each segment's
+    nodes and F(t) the node samples, built in place into a fresh array.  A
+    node belongs to the segment its right-sided sample does.  A node on a
+    segment's start holds c(s), 0 on a cut, and the last node holds the left
+    limit."""
+    grid, samples, times = f.grid, f.samples, f.grid.times
     n = grid.n_samples
     s = seg.bounds[:-1]
     first = np.clip(np.ceil((s - grid.t0) / grid.dt - 1e-6), 0, n - 1).astype(np.int64)
@@ -625,21 +667,19 @@ def _segment_nodes(seg: _Segments, p: EnsembleParams, grid: TimeGrid,
 def _exact_trajectory(f: WavePacket, p: EnsembleParams) -> AmplitudeTrajectory:
     """c from c(t0) = 0 under a piecewise-exponential packet, exactly."""
     seg = _segments(f.shape, p, f.grid, [f.grid.t0])
-    return AmplitudeTrajectory(
-        f.grid, _segment_nodes(seg, p, f.grid, f.samples, f.grid.times))
+    return AmplitudeTrajectory(f.grid, _segment_nodes(seg, p, f))
 
 
-def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends,
-                    times: np.ndarray | None = None):
+def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     """The write's integration: c from 0 at t0, restarting from 0 at every
     bin end, on the increasing nodes ``edges`` at the times ``ends``.
 
-    Returns the input's photon number; c on the nodes, 0 on each bin-start
-    node and the left limit on the last; and each bin's captured amplitude
-    (the left limit of c at its end), photon number and int F.  Exact for a
-    piecewise-exponential ``f.shape`` (``_segments``), else one RK4 scan of
-    the cell values with ``restarts=edges``.  ``times`` are the grid's
-    times, if already built.
+    Returns the input's photon number; a sampler that returns c on the
+    nodes as a fresh array, 0 on each bin-start node and the left limit on
+    the last; and each bin's captured amplitude (the left limit of c at its
+    end), photon number and int F.  Exact for a piecewise-exponential
+    ``f.shape`` (``_segments``; the sampler runs ``_segment_nodes``), else
+    one RK4 scan of the cell values with ``restarts=edges``.
     """
     grid = f.grid
     if isinstance(f.shape, _Pieces):
@@ -649,7 +689,7 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends,
         photons, flux = seg.photons, seg.flux
         in_norm = _require_one_photon(float(np.sum(photons)))
         _require_fine_grid(grid.dt, p)
-        c = _segment_nodes(seg, p, grid, f.samples, grid.times if times is None else times)
+        c_nodes = partial(_segment_nodes, seg, p, f)
         # the segments of bin n run from the n-th cut to the next one
         at = np.searchsorted(seg.bounds, cut_times)
         captured = seg.c_end[at[1:] - 1]
@@ -662,11 +702,12 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends,
         c = _rk4_recurrence(big_a, big_b, 0.0, edges)
         captured = c[edges]
         c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
+        c_nodes = c.copy
         # a bin's flux is the sum of its samples (the edge node opens the next bin)
         at, flux = [0, *edges], f.samples
     numbers, sums = ([np.add.reduceat(v[:at[-1]], at[:-1]).tolist() for v in (photons, flux)]
                      if edges else ([], []))
-    return in_norm, c, captured, numbers, sums
+    return in_norm, c_nodes, captured, numbers, sums
 
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,

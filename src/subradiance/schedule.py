@@ -95,8 +95,9 @@ class PulsePlan:
     bins: int = 0
 
     def __post_init__(self):
-        if self.bin_duration <= 0:
-            raise PlanError("bin_duration must be positive")
+        if not (math.isfinite(self.bin_duration) and self.bin_duration > 0):
+            raise PlanError(f"bin_duration = {self.bin_duration!r} must be finite and "
+                            "positive")
         times = tuple(self.times)
         for t in times:
             if not math.isfinite(t):

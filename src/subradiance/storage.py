@@ -11,11 +11,13 @@ slot's bin and sign, for active and passive plans alike.  The write is one
 call, ``dynamics._bins_from_zero``: the local law from c = 0, restarting
 from 0 at every bin edge.  It is exact for a piecewise-exponential packet
 (rectangular, rising exponential, time-bin qubit, a recall fed back in), in
-O(pieces + bins) scalar steps plus O(samples) for the transmitted packet,
-and one RK4 scan of the cell values, sampled once, for any other.  Read
-slots decay freely; loss and pulse failure are scalar factors, so stored and
-emitted amplitudes are closed forms.  ``ModeLedger.apply_mask`` is the
-mask-by-mask reference model.
+O(pieces + bins) scalar steps, and one RK4 scan of the cell values, sampled
+once, for any other.  Read slots decay freely; loss and pulse failure are
+scalar factors, so stored and emitted amplitudes are closed forms.  The
+report's ``transmitted`` and ``output`` packets are sampled on their first
+read, O(samples) each, so a store and recall of a piecewise-exponential
+packet that no caller samples costs O(pieces + bins) and allocates no grid.
+``ModeLedger.apply_mask`` is the mask-by-mask reference model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket, _bins_from_zero,
-                       _exp_pieces, _node_samples, make_grid)
+                       _exp_pieces, _lazy_packet, _shape_packet, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
 from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
@@ -118,6 +120,11 @@ class ReadRecord:
 
 @dataclass(frozen=True)
 class StorageReport:
+    """Scores of one store and recall.  ``output`` (the read-out, on the read
+    grid) and ``transmitted`` (the field the write let through, on the input
+    grid) are sampled on first read: a report whose packets nobody reads
+    samples no grid."""
+
     write_efficiency: float
     read_efficiency: float
     total_efficiency: float
@@ -167,26 +174,26 @@ def simulate_write(
     as c_n s^(bins-n+1) e^{-loss (T - t_n)/2} (s the pulse success amplitude,
     T the grid end; ``end_to_end`` charges the hold from T to the read).
     Returns the ledger of stored amplitudes and the transmitted (not
-    absorbed) packet on the input grid.
+    absorbed) packet on the input grid, whose samples are built on first
+    read.
     """
     return _write(f_in, plan, p, loss_rate, pulse_success_amplitude)[:2]
 
 
 def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
            loss_rate: float, pulse_success_amplitude: float,
-           times: np.ndarray | None = None, until: float | None = None):
+           until: float | None = None):
     """``simulate_write``, exact for a piecewise-exponential packet and on
     the input's cell values, sampled once, for any other; also returns the
-    input norm and the input's bin amplitudes.  ``times`` are the input
-    grid's times, if already built; ``until`` is the time the store is
-    held to, by default the grid's end."""
+    input norm and the input's bin amplitudes.  ``until`` is the time the
+    store is held to, by default the grid's end."""
     report = _require_verified(plan)
     grid = f_in.grid
     edges = _bin_edges(grid, plan)
     if edges and edges[0] == 0:
         raise PlanError("first write pulse coincides with the grid start")
-    in_norm, c_full, captured, numbers, sums = _bins_from_zero(
-        f_in, p, edges, plan.times[len(plan.times) - plan.bins:], times)
+    in_norm, c_nodes, captured, numbers, sums = _bins_from_zero(
+        f_in, p, edges, plan.times[len(plan.times) - plan.bins:])
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
     # a time within 1e-6 dt of the grid's end is the end, as for grid nodes
     if until is not None and abs(until - grid.t_end) > 1e-6 * grid.dt:
@@ -201,10 +208,16 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
         for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
     ledger._product = report._end
     bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
-    # output_field in place: F_out = F_in + sqrt(tau_E/tau_R) c
-    c_full *= math.sqrt(p.tau_E / p.tau_R)
-    c_full += f_in.samples
-    transmitted = WavePacket(grid, c_full, breakpoints=bps)
+    gain = math.sqrt(p.tau_E / p.tau_R)
+
+    def transmitted_samples():
+        # output_field in place on a fresh c: F_out = F_in + sqrt(tau_E/tau_R) c
+        out = c_nodes()
+        out *= gain
+        out += f_in.samples
+        return out
+
+    transmitted = _lazy_packet(grid, transmitted_samples, breakpoints=bps)
     # input bin n: sqrt of its photon number, with the phase of its flux
     f_bins = {n: math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
               for n, (s, m) in enumerate(zip(sums, numbers), start=1)}
@@ -226,8 +239,9 @@ def simulate_read(
     Slot k opens at t_k with the stored amplitude of bin ``emission_order[k]``
     times ``emission_signs[k]`` s^k e^{-loss (t_k - t_1)/2}, which radiates
     freely, F(t) = sqrt(tau_E/tau_R) a_k e^{-(t - t_k)/2tau_R}, until the
-    next mask parks what is left of it back in a dark row.  The caller's
-    ledger is left untouched.
+    next mask parks what is left of it back in a dark row.  The output's
+    samples are built on first read; the read grid's size is checked at
+    once.  The caller's ledger is left untouched.
     """
     report = _require_verified(plan, write_plan)
     if not np.array_equal(ledger._product, report._end):
@@ -236,8 +250,8 @@ def simulate_read(
         dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R
     t0 = plan.times[0]
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
-    times = grid.times
-    on = times[_bin_edges(grid, plan)]
+    # the slot nodes' times, as grid.times holds them
+    on = grid.t0 + grid.dt * np.array(_bin_edges(grid, plan))
     off = np.append(on[1:], grid.t_end)
     stored = ledger.amplitudes_by_bin()
     amps = (np.array([stored.get(b, 0j) for b in report.emission_order], dtype=complex)
@@ -254,7 +268,7 @@ def simulate_read(
     shape = _exp_pieces(edges, slot_amps, np.tile([-two_tr, math.inf], len(live)),
                         edges)
     bps = tuple(edges.tolist())
-    output = WavePacket(grid, shape(times), shape=shape, breakpoints=bps)
+    output = _lazy_packet(grid, lambda: shape(grid.times), shape, bps)
     return output, ReadRecord(tuple(report.emission_order[i] for i in live),
                               tuple(emitted[live].tolist()),
                               tuple(leftover[live].tolist()))
@@ -278,21 +292,13 @@ def end_to_end(
     starts after it.  ``captured`` and ``write_efficiency`` are the store as
     of t_1.  A read that starts before the last write pulse is a PlanError.
     """
-    return _end_to_end(f_in, write_plan, read_plan, p, loss_rate,
-                       pulse_success_amplitude)
-
-
-def _end_to_end(f_in: WavePacket, write_plan: PulsePlan, read_plan: PulsePlan,
-                p: EnsembleParams, loss_rate: float, pulse_success_amplitude: float,
-                times: np.ndarray | None = None) -> StorageReport:
-    """``end_to_end``; ``times`` are the input grid's times, if already built."""
     slots = read_plan.times[len(read_plan.times) - read_plan.bins:]
     # a read before the write's last pulse would be held for negative times
     if slots and write_plan.times and slots[0] < write_plan.times[-1] - 1e-6 * f_in.grid.dt:
         raise PlanError(f"read starts at {slots[0]}, before the last write pulse at "
                         f"{write_plan.times[-1]}")
     ledger, transmitted, in_norm, f_bins = _write(
-        f_in, write_plan, p, loss_rate, pulse_success_amplitude, times,
+        f_in, write_plan, p, loss_rate, pulse_success_amplitude,
         slots[0] if slots else None)
     captured = ledger.amplitudes_by_bin()
     stored_sq = ledger.stored_norm_sq()
@@ -354,12 +360,10 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
     amp, two_tr = math.sqrt(p.tau_E / p.tau_R), 2.0 * p.tau_R
     shape = _exp_pieces([-math.inf, t1, t2], [alpha * amp, beta * amp, 0.0],
                         [two_tr, two_tr, math.inf], [t1, t2, t2])
-    times = grid.times
-    f_in = WavePacket(grid, _node_samples(shape, grid, (t1, t2), times), shape=shape,
-                      breakpoints=(t1, t2))
+    f_in = _shape_packet(grid, shape, (t1, t2))
     write = plan_write(4, 2, separation)
     read = plan_read(4, 2, separation, time_reversed=time_reversed, t0=t2)
-    return f_in, write, read, times
+    return f_in, write, read
 
 
 def timebin_qubit_report(
@@ -372,9 +376,8 @@ def timebin_qubit_report(
 ) -> StorageReport:
     """Store and recall alpha|early> + beta|late> built from rising
     exponentials; each component is written with a single mask."""
-    f_in, write, read, times = _timebin_setup(alpha, beta, separation, p,
-                                              time_reversed)
-    return _end_to_end(f_in, write, read, p, 0.0, pulse_success_amplitude, times)
+    f_in, write, read = _timebin_setup(alpha, beta, separation, p, time_reversed)
+    return end_to_end(f_in, write, read, p, 0.0, pulse_success_amplitude)
 
 
 def timebin_qubit_fidelity(

@@ -118,7 +118,7 @@ def test_exponential_pieces_match_closed_forms(params):
                         lambda t: rising(t, t_end).astype(complex))
 
     alpha, beta, sep = 0.6, 0.8j, 20 * params.tau_R
-    f_in, write, read, _ = _timebin_setup(alpha, beta, sep, params, True)
+    f_in, write, read = _timebin_setup(alpha, beta, sep, params, True)
     _assert_cells_match(f_in, lambda t: alpha * rising(t, sep)
                         + beta * np.where(t > sep, rising(t - sep, sep), 0.0))
 

@@ -323,6 +323,19 @@ def test_plan_rejects_non_finite_times(bad):
         PulsePlan.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_non_finite_bin_duration(bad):
+    # a read plan's t_end would be nan or inf, and its read grid fail with a
+    # GridError about its size instead of naming the field
+    plan = plan_write(4, 3, 1.0)
+    with pytest.raises(PlanError, match="bin_duration = .* must be finite and positive"):
+        PulsePlan(4, plan.times, plan.masks, bad, "write", 3)
+    doc = json.loads(WRITE_4_3_JSON)
+    doc["bin_duration_s"] = bad
+    with pytest.raises(PlanError, match="bin_duration"):
+        PulsePlan.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("bins", ["3", 2.5, True, None, -1, 4])
 def test_plan_rejects_bins_out_of_range_or_not_whole(bins):
     # a bins count that is no whole number from 0 to the 3 events, read

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -512,8 +513,8 @@ def test_exact_write_of_rising_exponentials_and_qubits(params):
     f_in = rising_exponential(t_end, params, make_grid(params, t_end))
     _assert_paths_agree(f_in, plan_write(2, 1, t_end), params)
     for alpha, beta in ((0.6, 0.8j), (1.0, 0.0), (0.0, -1.0)):
-        f_in, write, _, _ = storage._timebin_setup(alpha, beta, 20 * params.tau_R,
-                                                   params, True)
+        f_in, write, _ = storage._timebin_setup(alpha, beta, 20 * params.tau_R,
+                                                params, True)
         _assert_paths_agree(f_in, write, params)
 
 
@@ -550,9 +551,10 @@ def test_exact_write_of_a_very_long_rising_piece(params):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         ledger, transmitted, in_norm, _ = storage._write(
             f_in, plan_write(2, 1, t_end), params, 0.0, 1.0)
+        # sampled on this read, still under the raising error state
+        assert np.all(np.isfinite(transmitted.samples))
     assert abs(ledger.amplitudes_by_bin()[1] + 1.0) < 1e-12
     assert abs(in_norm - 1.0) < 1e-12
-    assert np.all(np.isfinite(transmitted.samples))
 
 
 def test_empty_bin_stores_exactly_zero_on_both_paths(params):
@@ -610,17 +612,107 @@ def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
 
 
 def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
+    # a qubit report builds no grid's times, runs no _segment_nodes and
+    # evaluates no piece shape on a grid: it is O(pieces + bins)
     built = collections.Counter()
-    times = TimeGrid.times
+    build = TimeGrid.times.func
 
-    def counted(grid):
+    def counted_times(grid):
         built[grid] += 1
-        return times.fget(grid)
+        return build(grid)
 
-    monkeypatch.setattr(TimeGrid, "times", property(counted))
-    timebin_qubit_report(0.6, 0.8j, 20 * params.tau_R, params)
-    # the write grid and the read grid
-    assert len(built) == 2 and max(built.values()) == 1
+    times = functools.cached_property(counted_times)
+    times.__set_name__(TimeGrid, "times")
+    monkeypatch.setattr(TimeGrid, "times", times)
+    calls = collections.Counter()
+    segment_nodes, pieces = dynamics._segment_nodes, dynamics._Pieces.__call__
+
+    def counted_nodes(*args):
+        calls["_segment_nodes"] += 1
+        return segment_nodes(*args)
+
+    def counted_pieces(self, t):
+        calls["shape"] += 1
+        return pieces(self, t)
+
+    monkeypatch.setattr(dynamics, "_segment_nodes", counted_nodes)
+    monkeypatch.setattr(dynamics._Pieces, "__call__", counted_pieces)
+    rep = timebin_qubit_report(0.6, 0.8j, 20 * params.tau_R, params)
+    assert not built and not calls
+    # read, and read again: the write grid's and the read grid's times are
+    # built once each; the input, transmitted and output are sampled once
+    for _ in range(2):
+        rep.transmitted.samples, rep.output.samples
+        assert built == {rep.transmitted.grid: 1, rep.output.grid: 1}
+        assert calls["_segment_nodes"] == 1
+    assert not rep.transmitted.grid.times.flags.writeable
+
+
+def test_long_timebin_qubit_allocates_no_grid(params):
+    # 2500 tau_R bins: a 1M-node write grid, on which one complex array is
+    # 16 MB; sampling the input, the transmitted packet or the output would
+    # take that much
+    tracemalloc.start()
+    try:
+        rep = timebin_qubit_report(0.6, 0.8j, 2500 * params.tau_R, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.transmitted.grid.n_samples == rep.output.grid.n_samples == 1_000_001
+    assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert peak < 2 ** 20
+
+
+def _read_twice(packet):
+    """A lazy packet's samples: its sampler, run twice, gives the same bytes,
+    and the samples, read twice, are one array equal to them."""
+    sampler = packet.__dict__["_sampler"]
+    first = sampler()
+    assert sampler().tobytes() == first.tobytes()
+    samples = packet.samples
+    assert packet.samples is samples
+    assert samples.tobytes() == first.tobytes()
+    return samples
+
+
+def _eager_transmitted(f_in, write, params):
+    """The transmitted packet's node values built at once, from
+    ``_segment_nodes`` or the RK4 scan, as the write built them eagerly."""
+    grid = f_in.grid
+    ends = write.times[len(write.times) - write.bins:]
+    edges = storage._bin_edges(grid, write)
+    if isinstance(f_in.shape, dynamics._Pieces):
+        seg = dynamics._segments(f_in.shape, params, grid, [grid.t0, *ends])
+        c = dynamics._segment_nodes(seg, params, f_in)
+    else:
+        big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
+        c = dynamics._rk4_recurrence(big_a, big_b, 0.0, edges)
+        c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
+    c *= math.sqrt(params.tau_E / params.tau_R)
+    c += f_in.samples
+    return c
+
+
+def _lazy_cases(params):
+    f_in, write, read = storage._timebin_setup(0.6, 0.8j, 20 * params.tau_R, params, True)
+    yield f_in, write, read, 0.0, 0.99
+    f_in, write, read = _rect_setup(params)
+    yield f_in, write, read, 0.01 / params.tau_R, 1.0
+    yield packet_from_samples(f_in.grid, f_in.samples, f_in.breakpoints), write, read, 0.0, 1.0
+
+
+def test_lazy_packets_equal_their_eager_samples(params):
+    for f_in, write, read, loss, s in _lazy_cases(params):
+        if isinstance(f_in.shape, dynamics._Pieces):
+            want = dynamics._node_samples(f_in.shape, f_in.grid, f_in.breakpoints)
+            assert _read_twice(f_in).tobytes() == want.tobytes()
+        rep = end_to_end(f_in, write, read, params, loss, s)
+        want = _eager_transmitted(f_in, write, params)
+        assert _read_twice(rep.transmitted).tobytes() == want.tobytes()
+        grid = rep.output.grid
+        want = rep.output.shape(grid.t0 + grid.dt * np.arange(grid.n_samples))
+        assert _read_twice(rep.output).tobytes() == want.tobytes()
+        assert grid.times.tobytes() == (grid.t0 + grid.dt * np.arange(grid.n_samples)).tobytes()
 
 
 def _sampled_input(params, write, grid):
