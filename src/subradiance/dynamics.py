@@ -176,10 +176,7 @@ class WavePacket:
         sampler = self.__dict__.get("_sampler")
         if name != "samples" or sampler is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        samples = sampler()
-        if len(samples) != self.grid.n_samples:
-            raise GridError("sample count does not match grid")
-        self.__dict__["samples"] = samples
+        samples = self.__dict__["samples"] = sampler()
         # the sampler's closure (a write's amplitudes, an input) is let go
         self.__dict__.pop("_sampler", None)
         return samples
