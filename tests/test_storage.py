@@ -640,11 +640,12 @@ def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
     rep = timebin_qubit_report(0.6, 0.8j, 20 * params.tau_R, params)
     assert not built and not calls
     # read, and read again: the write grid's and the read grid's times are
-    # built once each; the input, transmitted and output are sampled once
+    # built once each; the input (two shape calls: the nodes, then the
+    # breakpoint nodes), transmitted and output are sampled once
     for _ in range(2):
         rep.transmitted.samples, rep.output.samples
         assert built == {rep.transmitted.grid: 1, rep.output.grid: 1}
-        assert calls["_segment_nodes"] == 1
+        assert calls == {"_segment_nodes": 1, "shape": 3}
     assert not rep.transmitted.grid.times.flags.writeable
 
 
