@@ -13,6 +13,13 @@ The spatial phase factors e^{i q r_j} are absorbed into the definition of
 the single-atom excited states, so a 2 pi control pulse acting on a spatial
 part is exactly a sign flip of that part's excited amplitudes.
 
+A partitioned state is a read-only int64 occupation matrix (a row per
+tuple) and an amplitude vector, read once from its ``amplitudes`` dict or
+built with it.  A sign pattern multiplies row r by (-1)^(occ_r . minus) and
+keeps the rows, so a state and its flips share them and their lowering.
+Lowering and ``to_full_basis`` address rows by mixed-radix codes; where a
+float could round a binomial product, or int64 a code, Python ints are used.
+
 In the full basis, bit j of an index marks atom j excited and atoms are
 ordered part by part, so part P owns one contiguous bit mask.  Every
 bit-indexed quantity is one ``np.bitwise_count`` of the index under a mask:
@@ -22,8 +29,10 @@ multiplies by (-1)^popcount(index & mask of the minus parts).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,6 +60,10 @@ MAX_FULL_BASIS_ATOMS = 24
 _AMP_TOL = 1e-12
 
 
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
 @dataclass(frozen=True)
 class Partition:
     """Division of the sample into consecutive spatial parts A, B, C, ..."""
@@ -58,8 +71,9 @@ class Partition:
     part_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.part_sizes or any(s < 1 for s in self.part_sizes):
-            raise DomainError("part sizes must be positive integers")
+        if not self.part_sizes or not all(_is_int_type(type(s)) and s >= 1
+                                          for s in self.part_sizes):
+            raise DomainError(f"part sizes {self.part_sizes!r} must be positive integers")
 
     @classmethod
     def equal(cls, n_atoms: int, n_parts: int) -> "Partition":
@@ -105,32 +119,94 @@ class SignPattern:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
+def _comb_products(occ: np.ndarray, sizes, bound: int) -> np.ndarray:
+    """prod_P C(N_P, n_P) of each row, for rows whose product is at most
+    ``bound``: float64 where that is exact, else Python ints.  Larger
+    factors are in no such row; clipped, they stay finite as floats."""
+    ks = range(int(occ.max(initial=0)) + 1)
+    rows = {s: [min(math.comb(s, k), bound + 1) for k in ks] for s in set(sizes)}
+    table = np.array([rows[s] for s in sizes], dtype=float if bound <= 2 ** 53 else object)
+    return table[np.arange(len(sizes)), occ].prod(axis=1)
+
+
+class _Rows:
+    """An occupation matrix (read-only) and its lowering, made on first use."""
+
+    def __init__(self, matrix: np.ndarray, sizes):
+        matrix.flags.writeable = False
+        self.matrix, self.sizes = matrix, sizes
+
+    @cached_property
+    def lowering(self):
+        """R = sum_P R_P term by term, in (row, part) order: term t takes row
+        source[t] times sqrt(n_P (N_P - n_P + 1)) to output slot[t], slots
+        numbered by first appearance.  (source, part, coeff, slot, slots)."""
+        occ = self.matrix
+        source, part = np.nonzero(occ)
+        n_p = occ[source, part]
+        coeff = np.sqrt(n_p * (np.array(self.sizes, dtype=float)[part] - n_p + 1))
+        # digit P has base max_r n_rP + 1; lowering part P takes its radix off
+        bases = (occ.max(axis=0) + 1).tolist()
+        radix = np.array(list(itertools.accumulate(bases[:-1], int.__mul__, initial=1)),
+                         dtype=np.int64 if math.prod(bases) < 2 ** 63 else object)
+        codes = ((occ @ radix)[source] - radix[part]).tolist()
+        slots = dict(zip(dict.fromkeys(codes), itertools.count()))
+        slot = np.fromiter(map(slots.__getitem__, codes), dtype=np.intp, count=len(codes))
+        return source, part, coeff, slot, len(slots)
+
+
 @dataclass(frozen=True)
 class PartitionedState:
-    """Normalized superposition of per-part symmetric excitation numbers."""
+    """Normalized superposition of per-part symmetric excitation numbers.
+    ``amplitudes`` is read once, on construction."""
 
     partition: Partition
     amplitudes: dict[tuple[int, ...], complex]
+    _rows: _Rows = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.partition.part_sizes
-        for occ in self.amplitudes:
-            if len(occ) != len(sizes):
-                raise DomainError("occupation tuple length does not match partition")
-            if any(n < 0 or n > cap for n, cap in zip(occ, sizes)):
-                raise DomainError(f"occupation {occ} exceeds part capacity {sizes}")
+        keys = list(self.amplitudes)
+        if set(map(len, keys)) - {len(sizes)}:
+            raise DomainError("occupation tuple length does not match partition")
+        if not all(map(_is_int_type, set(map(type, itertools.chain.from_iterable(keys))))):
+            bad = next(k for k in keys if not all(_is_int_type(type(n)) for n in k))
+            raise DomainError(f"occupation {bad!r} is not a tuple of integers")
+        occ = np.array(keys, dtype=np.int64).reshape(len(keys), len(sizes))
+        # sizes clipped to the largest occupation, which int64 holds
+        top = int(occ.max(initial=0))
+        outside = ((occ < 0) | (occ > [min(s, top) for s in sizes])).any(axis=1)
+        if outside.any():
+            raise DomainError(f"occupation {keys[np.argmax(outside)]} exceeds part "
+                              f"capacity {sizes}")
+        self._set(_Rows(occ, sizes), np.array(list(self.amplitudes.values())))
+
+    @classmethod
+    def _of(cls, partition, rows: _Rows, values, keys) -> "PartitionedState":
+        """``values`` on ``rows`` that fit ``partition``, named by ``keys``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "partition", partition)
+        object.__setattr__(state, "amplitudes", dict(zip(keys, values.tolist())))
+        state._set(rows, values)
+        return state
+
+    def _set(self, rows: _Rows, values: np.ndarray):
+        values.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_values", values)
         norm = self.norm()
         if abs(norm - 1.0) > 1e-10:
             raise DomainError(f"state norm {norm} is not 1")
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(abs(np.vdot(self._values, self._values)))
 
     def excitation_number(self) -> int:
-        ns = {sum(occ) for occ, a in self.amplitudes.items() if abs(a) > _AMP_TOL}
-        if len(ns) != 1:
+        ns = self._rows.matrix.sum(axis=1)[np.abs(self._values) > _AMP_TOL]
+        if not ns.size or (ns != ns[0]).any():
             raise DomainError("state does not have a definite excitation number")
-        return ns.pop()
+        return int(ns[0])
 
 
 @dataclass(frozen=True)
@@ -182,30 +258,25 @@ def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
     """Symmetric Dicke state |n> expressed over a spatial partition.
 
     Amplitude on (n_A, n_B, ...) is the square-rooted hypergeometric weight
-    sqrt(prod_P C(N_P, n_P) / C(N, n)).
+    sqrt(prod_P C(N_P, n_P) / C(N, n)), in lexicographic tuple order: the
+    multisets of n parts, in reverse order, each counted into a row, less
+    the rows over a part's size.
     """
+    sizes = partition.part_sizes
     n_atoms = partition.n_atoms
     if not 0 <= n <= n_atoms:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
+    parts = len(sizes)
+    rows = math.comb(parts + n - 1, n)
+    picks = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(parts), n)),
+        dtype=np.int64, count=rows * n).reshape(rows, n)
+    cells = picks + parts * np.arange(rows - 1, -1, -1)[:, None]
+    occ = np.bincount(cells.ravel(), minlength=rows * parts).reshape(rows, parts)
+    occ = occ[(occ <= [min(s, n) for s in sizes]).all(axis=1)]
     total = math.comb(n_atoms, n)
-    amps: dict[tuple[int, ...], complex] = {}
-    for occ in _compositions(n, partition.part_sizes):
-        w = math.prod(math.comb(s, k) for s, k in zip(partition.part_sizes, occ))
-        amps[occ] = math.sqrt(w / total)
-    return PartitionedState(partition, amps)
-
-
-def _compositions(n: int, caps: tuple[int, ...]):
-    """Tuples (k_1, k_2, ...) with 0 <= k_i <= caps[i] that sum to n, in
-    lexicographic order, for n <= sum(caps).  Each prefix leaves a remainder
-    the remaining parts can hold, so no branch is a dead end."""
-    if not caps:
-        yield ()
-        return
-    room = sum(caps[1:])
-    for k in range(max(0, n - room), min(n, caps[0]) + 1):
-        for rest in _compositions(n - k, caps[1:]):
-            yield (k, *rest)
+    amps = np.sqrt((_comb_products(occ, sizes, total) / total).astype(float))
+    return PartitionedState._of(partition, _Rows(occ, sizes), amps, map(tuple, occ.tolist()))
 
 
 def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None = None):
@@ -218,9 +289,10 @@ def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None 
         part = state.partition
         if len(pattern) != part.n_parts:
             raise DomainError("pattern length does not match partition")
-        amps = {occ: a * math.prod(s ** k for s, k in zip(pattern.signs, occ))
-                for occ, a in state.amplitudes.items()}
-        return PartitionedState(part, amps)
+        minus = np.array([s < 0 for s in pattern.signs], dtype=np.int64)
+        phase = (-1) ** (state._rows.matrix @ minus)
+        return PartitionedState._of(part, state._rows, state._values * phase,
+                                    state.amplitudes)
     if isinstance(state, FullBasisState):
         if partition is None:
             raise DomainError("full-basis states need an explicit partition")
@@ -233,22 +305,28 @@ def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None 
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
+def _lowered(state: PartitionedState) -> np.ndarray:
+    """Amplitudes of R|state> in order of first appearance, each summed in
+    the order its terms arrive."""
+    source, _, coeff, slot, n = state._rows.lowering
+    terms = coeff * state._values[source]
+    if terms.dtype.kind == "c":
+        return np.bincount(slot, terms.real, n) + 1j * np.bincount(slot, terms.imag, n)
+    return np.bincount(slot, terms, n)
+
+
 def lower(state: PartitionedState) -> dict[tuple[int, ...], complex]:
     """Apply the collective lowering operator R = sum_j b_j (unnormalized).
 
     Within a part's symmetric sub-state, R_P |n_P> = sqrt(n_P (N_P - n_P + 1))
     |n_P - 1>.
     """
-    sizes = state.partition.part_sizes
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, a in state.amplitudes.items():
-        for i, (n_p, cap) in enumerate(zip(occ, sizes)):
-            if n_p == 0:
-                continue
-            coeff = math.sqrt(n_p * (cap - n_p + 1))
-            lowered = occ[:i] + (n_p - 1,) + occ[i + 1:]
-            out[lowered] = out.get(lowered, 0.0) + coeff * a
-    return out
+    source, part, _, slot, _ = state._rows.lowering
+    # a slot's first term is where the running maximum of the slots rises
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(slot), prepend=-1))
+    rows = state._rows.matrix[source[first]]
+    rows[np.arange(len(rows)), part[first]] -= 1
+    return dict(zip(map(tuple, rows.tolist()), _lowered(state).tolist()))
 
 
 def emission_rate(state, p: EnsembleParams) -> float:
@@ -260,8 +338,7 @@ def emission_rate(state, p: EnsembleParams) -> float:
         n = state.excitation_number()
         if n == 0:
             return 0.0
-        lowered = lower(state)
-        sq = sum(abs(a) ** 2 for a in lowered.values())
+        sq = sum(abs(a) ** 2 for a in _lowered(state).tolist())
         return p.mu / p.excited_lifetime * sq
     if isinstance(state, FullBasisState):
         return brute_force_rate(state, p)
@@ -299,10 +376,13 @@ def to_full_basis(state: PartitionedState) -> FullBasisState:
     for size, r in zip(sizes, radix):
         own = r * np.bitwise_count(np.arange(2 ** size)).astype(np.int64)
         code = (own[:, None] + code).ravel()
+    occ, values = state._rows.matrix, state._values
+    # a weight is below 2^N; a / sqrt(weight) divides a's parts apart
+    root = np.sqrt(_comb_products(occ, sizes, 2 ** n_atoms))
+    at = occ @ np.array(radix)
     table = np.zeros(math.prod(s + 1 for s in sizes), dtype=complex)
-    for occ, a in state.amplitudes.items():
-        weight = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
-        table[sum(r * k for r, k in zip(radix, occ))] += a / math.sqrt(weight)
+    table.real[at] = values.real / root
+    table.imag[at] = values.imag / root
     return FullBasisState(n_atoms, table[code])
 
 
@@ -310,26 +390,15 @@ def _two_part(n_atoms: int) -> Partition:
     return Partition.equal(n_atoms, 2)
 
 
-def _one_sym(n_atoms, partition):
-    return symmetric_partitioned(1, partition or _two_part(n_atoms))
+def _sym(n, n_atoms, partition):
+    return symmetric_partitioned(n, partition or _two_part(n_atoms))
 
 
-def _two_sym(n_atoms, partition):
-    return symmetric_partitioned(2, partition or _two_part(n_atoms))
-
-
-def _one_a_minus_b(n_atoms, partition):
+def _a_minus_b(n, n_atoms, partition):
     part = partition or _two_part(n_atoms)
     if part.n_parts != 2:
-        raise DomainError("one_AminusB needs a two-part partition")
-    return apply_sign_pattern(_one_sym(n_atoms, part), SignPattern((1, -1)))
-
-
-def _two_a_minus_b(n_atoms, partition):
-    part = partition or _two_part(n_atoms)
-    if part.n_parts != 2:
-        raise DomainError("two_AminusB needs a two-part partition")
-    return apply_sign_pattern(_two_sym(n_atoms, part), SignPattern((1, -1)))
+        raise DomainError(f"{('one', 'two')[n - 1]}_AminusB needs a two-part partition")
+    return apply_sign_pattern(symmetric_partitioned(n, part), SignPattern((1, -1)))
 
 
 def _two_prime(n_atoms, partition):
@@ -346,7 +415,7 @@ def _two_abcd(n_atoms, partition):
     if part.n_parts != 4 or len(set(part.part_sizes)) != 1:
         raise DomainError("two_ABCD needs four equal parts")
     half = Partition.equal(n_atoms // 2, 2)
-    inner = _two_a_minus_b(n_atoms // 2, half)
+    inner = _a_minus_b(2, n_atoms // 2, half)
     r = 1.0 / math.sqrt(2.0)
     amps: dict[tuple[int, ...], complex] = {}
     for (na, nb), a in inner.amplitudes.items():
@@ -356,10 +425,10 @@ def _two_abcd(n_atoms, partition):
 
 
 NAMED_STATES = {
-    "one_sym": _one_sym,
-    "two_sym": _two_sym,
-    "one_AminusB": _one_a_minus_b,
-    "two_AminusB": _two_a_minus_b,
+    "one_sym": partial(_sym, 1),
+    "two_sym": partial(_sym, 2),
+    "one_AminusB": partial(_a_minus_b, 1),
+    "two_AminusB": partial(_a_minus_b, 2),
     "two_prime": _two_prime,
     "two_ABCD": _two_abcd,
 }

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from subradiance import (DomainError, FullBasisState, Partition,
                          PartitionedState, SignPattern, apply_sign_pattern,
-                         brute_force_rate, emission_rate, named_state,
+                         brute_force_rate, emission_rate, lower, named_state,
                          symmetric_partitioned, symmetric_state, to_full_basis)
 
 NAMES = ("one_sym", "two_sym", "one_AminusB", "two_AminusB", "two_prime",
@@ -199,3 +200,153 @@ def test_full_basis_embedding_per_index(sizes, n):
             weight = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
             want[index] += a / math.sqrt(weight)
     assert to_full_basis(state).amplitudes.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against per-tuple references built here
+# ---------------------------------------------------------------------------
+
+def _ref_symmetric(n, sizes):
+    """Every tuple of itertools.product with sum n, weighted in Python ints."""
+    total = math.comb(sum(sizes), n)
+    amps = {}
+    for occ in itertools.product(*[range(min(n, s) + 1) for s in sizes]):
+        if sum(occ) == n:
+            w = math.prod(math.comb(s, k) for s, k in zip(sizes, occ))
+            amps[occ] = math.sqrt(w / total)
+    return amps
+
+
+def _ref_signed(amps, signs):
+    return {occ: a * math.prod(s ** k for s, k in zip(signs, occ))
+            for occ, a in amps.items()}
+
+
+def _ref_lower(amps, sizes):
+    """R = sum_P R_P tuple by tuple, accumulated in a dict."""
+    out = {}
+    for occ, a in amps.items():
+        for i, (k, cap) in enumerate(zip(occ, sizes)):
+            if k:
+                low = occ[:i] + (k - 1,) + occ[i + 1:]
+                out[low] = out.get(low, 0.0) + math.sqrt(k * (cap - k + 1)) * a
+    return out
+
+
+def _signed_dicke_rate(n, plus, minus):
+    """||R psi||^2 of the n-excitation Dicke state with ``minus`` atoms
+    sign-flipped: each (n-1)-atom remainder with p plus and m minus atoms
+    carries sum_{j outside} s_j = (plus - minus) - p + m."""
+    return sum(math.comb(plus, p_) * math.comb(minus, n - 1 - p_)
+               * (plus - minus - p_ + (n - 1 - p_)) ** 2
+               for p_ in range(n)) / math.comb(plus + minus, n)
+
+
+def _assert_same_dict(got, want):
+    assert list(got) == list(want)
+    assert list(got.values()) == list(want.values())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("sizes, n", [
+    pytest.param((1, 3, 1), 4, id="small-parts"),
+    pytest.param((3, 1, 2, 2), 3, id="uneven"),
+    pytest.param((2, 5, 1, 4, 1), 3, id="uneven-5"),
+    pytest.param((6000,) * 4, 5, id="weights-past-2^53"),
+    pytest.param((4, 6), 0, id="n0"),
+    pytest.param((7,), 3, id="one-part"),
+    pytest.param((7,), 0, id="one-part-n0"),
+    pytest.param((1,) * 7, 3, id="singles"),
+    pytest.param((9, 9, 9), 9, id="full-parts"),
+])
+def test_partitioned_kernels_match_per_tuple_references(params, sizes, n):
+    part = Partition(sizes)
+    state = symmetric_partitioned(n, part)
+    want = _ref_symmetric(n, sizes)
+    _assert_same_dict(state.amplitudes, want)
+    signs = tuple(1 if i % 3 else -1 for i in range(len(sizes)))
+    signed = apply_sign_pattern(state, SignPattern(signs))
+    _assert_same_dict(signed.amplitudes, _ref_signed(want, signs))
+    unit = _unit(params)
+    minus = sum(s for s, g in zip(sizes, signs) if g < 0)
+    for st, amps, closed in ((state, want, n * (part.n_atoms - n + 1)),
+                             (signed, signed.amplitudes,
+                              _signed_dicke_rate(n, part.n_atoms - minus, minus))):
+        ref = _ref_lower(amps, sizes)
+        _assert_same_dict(lower(st), ref)
+        rate = emission_rate(st, params)
+        assert rate == unit * sum(abs(a) ** 2 for a in ref.values())
+        assert rate / unit == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+
+def test_lowering_of_complex_states_matches_reference(params):
+    rng = np.random.default_rng(4)
+    part = Partition((3, 1, 2, 4))
+    for n in (1, 2, 3):
+        keys = list(symmetric_partitioned(n, part).amplitudes)
+        rng.shuffle(keys)
+        raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        raw /= np.linalg.norm(raw)
+        amps = dict(zip(keys, raw.tolist()))
+        state = PartitionedState(part, amps)
+        ref = _ref_lower(amps, part.part_sizes)
+        _assert_same_dict(lower(state), ref)
+        assert emission_rate(state, params) == _unit(params) * sum(
+            abs(a) ** 2 for a in ref.values())
+        _assert_same_dict(apply_sign_pattern(state, SignPattern((1, -1, -1, 1))).amplitudes,
+                          _ref_signed(amps, (1, -1, -1, 1)))
+
+
+def test_lowering_codes_past_int64(params):
+    # 48 parts of 3 atoms at n = 2: the mixed-radix codes reach 3^48 > 2^63
+    part = Partition((3,) * 48)
+    signs = (1, -1) * 24
+    state = apply_sign_pattern(symmetric_partitioned(2, part), SignPattern(signs))
+    ref = _ref_lower(state.amplitudes, part.part_sizes)
+    _assert_same_dict(lower(state), ref)
+    assert emission_rate(state, params) / _unit(params) == pytest.approx(
+        _signed_dicke_rate(2, 72, 72), rel=1e-12)
+
+
+def test_sign_flips_share_rows_with_their_state():
+    part = Partition((3, 1, 2, 2))
+    state = symmetric_partitioned(2, part)
+    flipped = apply_sign_pattern(state, SignPattern((1, -1, 1, -1)))
+    assert flipped._rows is state._rows
+    assert not state._rows.matrix.flags.writeable
+    assert not flipped._values.flags.writeable
+    assert type(state.amplitudes) is dict and type(flipped.amplitudes) is dict
+
+
+@pytest.mark.parametrize("amps, bad", [
+    pytest.param({(0.5, 0.5): 1.0}, "(0.5, 0.5)", id="halves"),
+    pytest.param({(True, False): 1.0}, "(True, False)", id="bools"),
+    pytest.param({(1, 0): 0.6, (0, True): 0.8}, "(0, True)", id="one-bool"),
+    pytest.param({(1.0, 0): 1.0}, "(1.0, 0)", id="float-one"),
+])
+def test_non_integer_occupations_are_refused(amps, bad):
+    with pytest.raises(DomainError, match=re.escape(bad)):
+        PartitionedState(Partition((2, 2)), amps)
+
+
+def test_integer_occupations_of_any_int_type_are_accepted(params):
+    part = Partition((np.int64(2), 2))
+    state = PartitionedState(part, {(np.int64(1), 0): 0.6, (0, np.int32(1)): 0.8})
+    assert state.excitation_number() == 1
+    assert emission_rate(state, params) / _unit(params) == pytest.approx(
+        (0.6 * math.sqrt(2) + 0.8 * math.sqrt(2)) ** 2)
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 2), (2.0, 2), (True, 2), (2, "2"), (2, -1), ()])
+def test_non_integer_part_sizes_are_refused(sizes):
+    with pytest.raises(DomainError, match=re.escape(repr(sizes))):
+        Partition(sizes)
+
+
+def test_occupations_outside_a_part_are_refused():
+    part = Partition((2, 1))
+    for occ in [(0, 2), (-1, 1), (3, 0)]:
+        with pytest.raises(DomainError, match=re.escape(str(occ))):
+            PartitionedState(part, {occ: 1.0})
+    with pytest.raises(DomainError, match="length"):
+        PartitionedState(part, {(1,): 1.0})
