@@ -679,20 +679,31 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     one RK4 scan of the cell values with ``restarts=edges``.
     """
     grid = f.grid
+
+    def per_bin(v):
+        """Sums of ``v`` over each bin's steps or segments, at[n] .. at[n+1]-1."""
+        return np.add.reduceat(v[:at[-1]], at[:-1]) if edges else np.zeros(0)
+
     if isinstance(f.shape, _Pieces):
         # bins end on the pulses' own times, within 1e-6 dt of their nodes
         cut_times = [grid.t0, *ends]
         seg = _segments(f.shape, p, grid, cut_times)
-        photons, flux = seg.photons, seg.flux
+        photons = seg.photons
         in_norm = _require_one_photon(float(np.sum(photons)))
         _require_fine_grid(grid.dt, p)
         c_nodes = partial(_segment_nodes, seg, p, f)
         # the segments of bin n run from the n-th cut to the next one
         at = np.searchsorted(seg.bounds, cut_times)
         captured = seg.c_end[at[1:] - 1]
+        flux = per_bin(seg.flux)
     else:
+        # bin n holds the steps from the n-th edge node to the next
+        at = [0, *edges]
         cells = _cell_values(f)
         photons = _photon_density(cells, grid.dt, p)
+        # int F over a bin by Simpson's rule on its steps, as for its photons
+        v0, vm, v1 = map(per_bin, cells)
+        flux = (grid.dt / 6.0) * (v0 + 4.0 * vm + v1)
         in_norm = _require_one_photon(float(np.sum(photons)))
         big_a, big_b = _rk4_forcing(cells, grid.dt, p)
         del cells  # three grid-length arrays, not needed by the scan
@@ -700,11 +711,7 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         captured = c[edges]
         c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
         c_nodes = c.copy
-        # a bin's flux is the sum of its samples (the edge node opens the next bin)
-        at, flux = [0, *edges], f.samples
-    numbers, sums = ([np.add.reduceat(v[:at[-1]], at[:-1]).tolist() for v in (photons, flux)]
-                     if edges else ([], []))
-    return in_norm, c_nodes, captured, numbers, sums
+    return in_norm, c_nodes, captured, per_bin(photons).tolist(), flux.tolist()
 
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,

@@ -557,6 +557,36 @@ def test_exact_write_of_a_very_long_rising_piece(params):
     assert abs(in_norm - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [6, 14, 16])
+def test_both_writes_score_a_complex_piecewise_input_alike(params, seed):
+    # complex exponential pieces that start inside the bins: the RK4 write
+    # takes each bin's phase from int F over its cells, as the exact write
+    # does, so the two agree on fidelity as on every other score
+    rng = np.random.default_rng(seed)
+    bd = round(rng.uniform(0.3, 4.0) * 200) / 200 * params.tau_R
+    write = plan_write(4, 3, bd)
+    grid = make_grid(params, write.t_end)
+    nodes = np.sort(rng.choice(np.arange(1, grid.n_samples - 1), size=4, replace=False))
+    starts = np.concatenate([[grid.t0], grid.times[nodes]])
+    amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+    taus = rng.choice([-1, 1], 5) * rng.uniform(0.5, 5, 5) * params.tau_R
+    bps = tuple(starts.tolist())
+
+    def packet(scale):
+        shape = dynamics._exp_pieces(starts, amps * scale, taus, starts)
+        return WavePacket(grid, dynamics._node_samples(shape, grid, bps), shape=shape,
+                          breakpoints=bps)
+
+    f_in = packet(math.sqrt(0.8 / packet_norm(packet(1.0), params)))
+    read = plan_read(4, 3, bd, time_reversed=bool(seed % 2), t0=write.t_end + 3 * seed * grid.dt)
+    exact, rk4 = (end_to_end(f, write, read, params, loss_rate=0.02 / params.tau_R,
+                             pulse_success_amplitude=0.999)
+                  for f in (f_in, _rk4_twin(f_in)))
+    for name in ("fidelity", "total_efficiency", "write_efficiency", "input_norm",
+                 "bin_probability_error"):
+        assert getattr(exact, name) == pytest.approx(getattr(rk4, name), abs=1e-9), name
+
+
 def test_empty_bin_stores_exactly_zero_on_both_paths(params):
     bd = 2.5 * params.tau_R
     write = plan_write(4, 3, bd)
