@@ -61,7 +61,7 @@ the package needs only numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
@@ -159,11 +159,12 @@ class WavePacket:
 
     The package's own packets (``rectangular_packet``, ``rising_exponential``,
     and the transmitted and read-out packets of ``storage``) are lazy: their
-    ``samples`` are built on first read and then kept.
+    ``samples`` are built on first read and then kept.  The repr names the
+    grid, not the samples, so printing a packet samples nothing.
     """
 
     grid: TimeGrid
-    samples: np.ndarray
+    samples: np.ndarray = field(repr=False)
     shape: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoints: tuple[float, ...] = ()
 

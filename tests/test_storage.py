@@ -679,6 +679,27 @@ def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
     assert not rep.transmitted.grid.times.flags.writeable
 
 
+def test_printing_a_report_samples_no_packet(params, monkeypatch):
+    calls = collections.Counter()
+    segment_nodes, pieces = dynamics._segment_nodes, dynamics._Pieces.__call__
+
+    def counted_nodes(*args):
+        calls["_segment_nodes"] += 1
+        return segment_nodes(*args)
+
+    def counted_pieces(self, t):
+        calls["shape"] += 1
+        return pieces(self, t)
+
+    monkeypatch.setattr(dynamics, "_segment_nodes", counted_nodes)
+    monkeypatch.setattr(dynamics._Pieces, "__call__", counted_pieces)
+    rep = timebin_qubit_report(0.6, 0.8j, 2500 * params.tau_R, params)
+    text = repr(rep)
+    assert not calls
+    assert "samples=array" not in text and "n_samples=1000001" in text
+    assert "samples" not in rep.output.__dict__
+
+
 def test_long_timebin_qubit_allocates_no_grid(params):
     # 2500 tau_R bins: a 1M-node write grid, on which one complex array is
     # 16 MB; sampling the input, the transmitted packet or the output would
