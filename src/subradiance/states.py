@@ -119,11 +119,11 @@ class SignPattern:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
-def _comb_products(occ: np.ndarray, sizes, bound: int) -> np.ndarray:
-    """prod_P C(N_P, n_P) of each row, for rows whose product is at most
-    ``bound``: float64 where that is exact, else Python ints.  Larger
-    factors are in no such row; clipped, they stay finite as floats."""
-    ks = range(int(occ.max(initial=0)) + 1)
+def _comb_products(occ: np.ndarray, sizes, top: int, bound: int) -> np.ndarray:
+    """prod_P C(N_P, n_P) of each row, with every n_P <= top, for rows whose
+    product is at most ``bound``: float64 where that is exact, else Python
+    ints.  Larger factors are in no such row; clipped, they stay finite."""
+    ks = range(top + 1)
     rows = {s: [min(math.comb(s, k), bound + 1) for k in ks] for s in set(sizes)}
     table = np.array([rows[s] for s in sizes], dtype=float if bound <= 2 ** 53 else object)
     return table[np.arange(len(sizes)), occ].prod(axis=1)
@@ -203,10 +203,10 @@ class PartitionedState:
         return math.sqrt(abs(np.vdot(self._values, self._values)))
 
     def excitation_number(self) -> int:
-        ns = self._rows.matrix.sum(axis=1)[np.abs(self._values) > _AMP_TOL]
-        if not ns.size or (ns != ns[0]).any():
+        ns = set(self._rows.matrix.sum(axis=1)[np.abs(self._values) > _AMP_TOL].tolist())
+        if len(ns) != 1:
             raise DomainError("state does not have a definite excitation number")
-        return int(ns[0])
+        return ns.pop()
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,12 @@ def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
     picks = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(parts), n)),
         dtype=np.int64, count=rows * n).reshape(rows, n)
-    cells = picks + parts * np.arange(rows - 1, -1, -1)[:, None]
+    cells = picks + np.arange((rows - 1) * parts, -1, -parts)[:, None]
     occ = np.bincount(cells.ravel(), minlength=rows * parts).reshape(rows, parts)
-    occ = occ[(occ <= [min(s, n) for s in sizes]).all(axis=1)]
+    if min(sizes) < n:
+        occ = occ[(occ <= [min(s, n) for s in sizes]).all(axis=1)]
     total = math.comb(n_atoms, n)
-    amps = np.sqrt((_comb_products(occ, sizes, total) / total).astype(float))
+    amps = np.sqrt((_comb_products(occ, sizes, n, total) / total).astype(float))
     return PartitionedState._of(partition, _Rows(occ, sizes), amps, map(tuple, occ.tolist()))
 
 
@@ -378,7 +379,7 @@ def to_full_basis(state: PartitionedState) -> FullBasisState:
         code = (own[:, None] + code).ravel()
     occ, values = state._rows.matrix, state._values
     # a weight is below 2^N; a / sqrt(weight) divides a's parts apart
-    root = np.sqrt(_comb_products(occ, sizes, 2 ** n_atoms))
+    root = np.sqrt(_comb_products(occ, sizes, max(sizes), 2 ** n_atoms))
     at = occ @ np.array(radix)
     table = np.zeros(math.prod(s + 1 for s in sizes), dtype=complex)
     table.real[at] = values.real / root
