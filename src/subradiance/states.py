@@ -59,6 +59,9 @@ MAX_FULL_BASIS_ATOMS = 24
 
 _AMP_TOL = 1e-12
 
+# Multisets of parts counted into occupation rows at a time.
+_BLOCK = 1 << 16
+
 
 def _is_int_type(t: type) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool
@@ -266,15 +269,20 @@ def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
     n_atoms = partition.n_atoms
     if not 0 <= n <= n_atoms:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
-    parts = len(sizes)
-    rows = math.comb(parts + n - 1, n)
-    picks = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(parts), n)),
-        dtype=np.int64, count=rows * n).reshape(rows, n)
-    cells = picks + np.arange((rows - 1) * parts, -1, -parts)[:, None]
-    occ = np.bincount(cells.ravel(), minlength=rows * parts).reshape(rows, parts)
-    if min(sizes) < n:
-        occ = occ[(occ <= [min(s, n) for s in sizes]).all(axis=1)]
+    parts, caps = len(sizes), [min(s, n) for s in sizes]
+    multisets = itertools.combinations_with_replacement(range(parts), n)
+    candidates = math.comb(parts + n - 1, n)
+    blocks = []
+    # in blocks, so that memory follows the kept rows where parts smaller
+    # than n leave most candidates over a part's size
+    for start in range(0, candidates, _BLOCK):
+        rows = min(_BLOCK, candidates - start)
+        picks = np.fromiter(itertools.chain.from_iterable(itertools.islice(multisets, rows)),
+                            dtype=np.int64, count=rows * n).reshape(rows, n)
+        cells = picks + np.arange((rows - 1) * parts, -1, -parts)[:, None]
+        occ = np.bincount(cells.ravel(), minlength=rows * parts).reshape(rows, parts)
+        blocks.append(occ[(occ <= caps).all(axis=1)] if min(caps) < n else occ)
+    occ = np.concatenate(blocks[::-1])
     total = math.comb(n_atoms, n)
     amps = np.sqrt((_comb_products(occ, sizes, n, total) / total).astype(float))
     return PartitionedState._of(partition, _Rows(occ, sizes), amps, map(tuple, occ.tolist()))
