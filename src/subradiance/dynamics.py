@@ -680,11 +680,6 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     one RK4 scan of the cell values with ``restarts=edges``.
     """
     grid = f.grid
-
-    def per_bin(v):
-        """Sums of ``v`` over each bin's steps or segments, at[n] .. at[n+1]-1."""
-        return np.add.reduceat(v[:at[-1]], at[:-1]) if edges else np.zeros(0)
-
     if isinstance(f.shape, _Pieces):
         # bins end on the pulses' own times, within 1e-6 dt of their nodes
         cut_times = [grid.t0, *ends]
@@ -696,14 +691,14 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         # the segments of bin n run from the n-th cut to the next one
         at = np.searchsorted(seg.bounds, cut_times)
         captured = seg.c_end[at[1:] - 1]
-        flux = per_bin(seg.flux)
+        flux = _bin_sums(seg.flux, at)
     else:
         # bin n holds the steps from the n-th edge node to the next
         at = [0, *edges]
         cells = _cell_values(f)
         photons = _photon_density(cells, grid.dt, p)
         # int F over a bin by Simpson's rule on its steps, as for its photons
-        v0, vm, v1 = map(per_bin, cells)
+        v0, vm, v1 = (_bin_sums(v, at) for v in cells)
         flux = (grid.dt / 6.0) * (v0 + 4.0 * vm + v1)
         in_norm = _require_one_photon(float(np.sum(photons)))
         big_a, big_b = _rk4_forcing(cells, grid.dt, p)
@@ -712,7 +707,12 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         captured = c[edges]
         c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
         c_nodes = c.copy
-    return in_norm, c_nodes, captured, per_bin(photons).tolist(), flux.tolist()
+    return in_norm, c_nodes, captured, _bin_sums(photons, at).tolist(), flux.tolist()
+
+
+def _bin_sums(v: np.ndarray, at) -> np.ndarray:
+    """Sums of ``v`` over entries at[n] .. at[n+1] - 1, one per bin n."""
+    return np.add.reduceat(v[:at[-1]], at[:-1]) if len(at) > 1 else np.zeros(0)
 
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,
