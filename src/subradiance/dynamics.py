@@ -40,7 +40,9 @@ and restarts from 0 at every bin edge.  A piecewise-exponential packet is
 written from its pieces in O(pieces + bins) scalar steps; c on the nodes
 (``_segment_nodes``, O(samples)) is left to a sampler that runs only when
 the transmitted packet is read.  Any other packet (a user shape, or samples
-only) is written by one RK4 scan that restarts at the bin edges.
+only) is written on its RK4 forcing: from c = 0, a bin's captured amplitude
+is one weighted sum of its steps' forcing, and the RK4 scan that restarts
+at the bin edges runs only when the transmitted packet is read.
 
 The analytic packets (``_shape_packet``), the transmitted packet and the
 read-out are lazy (``_lazy_packet``): their node samples, and the grid's
@@ -677,7 +679,9 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     the last; and each bin's captured amplitude (the left limit of c at its
     end), photon number and int F.  Exact for a piecewise-exponential
     ``f.shape`` (``_segments``; the sampler runs ``_segment_nodes``), else
-    one RK4 scan of the cell values with ``restarts=edges``.
+    on the RK4 forcing of the cell values: each bin's captured amplitude is
+    one weighted sum of its forcing, and the sampler runs one RK4 scan with
+    ``restarts=edges``.
     """
     grid = f.grid
     if isinstance(f.shape, _Pieces):
@@ -702,11 +706,20 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         flux = (grid.dt / 6.0) * (v0 + 4.0 * vm + v1)
         in_norm = _require_one_photon(float(np.sum(photons)))
         big_a, big_b = _rk4_forcing(cells, grid.dt, p)
-        del cells  # three grid-length arrays, not needed by the scan
-        c = _rk4_recurrence(big_a, big_b, 0.0, edges)
-        captured = c[edges]
-        c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
-        c_nodes = c.copy
+        del cells  # three grid-length arrays, not needed past the forcing
+        # from c = 0 at its first step a, bin n ends on sum_k A^(b-1-k) B[k]
+        # over its steps k < b: one gather from the table A^j, j below the
+        # longest bin (|A| < 1, so no power overflows)
+        spans = np.diff(at)
+        lag = np.repeat(np.subtract(at[1:], 1), spans) - np.arange(at[-1])
+        captured = _bin_sums(big_b[:at[-1]] * big_a ** np.arange(spans.max(initial=0))[lag],
+                             at)
+
+        def c_nodes():
+            # the scan, restarting at the bin edges, runs only when c is read
+            c = _rk4_recurrence(big_a, big_b, 0.0, edges)
+            c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
+            return c
     return in_norm, c_nodes, captured, _bin_sums(photons, at).tolist(), flux.tolist()
 
 

@@ -20,13 +20,17 @@ Planners build that matrix, and the verifier and ``storage`` read it
 directly; ``PulsePlan.events`` formats it as ``PulseEvent`` views for JSON
 and for the mask-by-mask reference model.
 
-Planner and verifier share one kernel: running products from
-``np.multiply.accumulate``, and the test that a row parked under running
-product r radiates under running product c exactly when |r . c| = parts,
-with the sign of r . c.  ``verify_plan`` is the only replay on a run:
-``storage`` takes every read slot's bin and sign from its report, and
-``storage.ModeLedger.apply_mask`` uses the kernel only as the reference
-model that replays one mask at a time.
+Planner and verifier share the running products of
+``np.multiply.accumulate``.  A row parked under running product r radiates
+under running product c exactly when |r . c| = parts, that is when
+r = +-c, and then with the sign r[0] c[0].  ``verify_plan`` tests this by
+row keys (``_row_keys``: the int8 bytes of a row times its first entry,
+shared by r and -r), in O(events x parts) plus one dict lookup per read
+slot; only pairwise orthogonality is a Gram matrix.  ``verify_plan`` is the
+only replay on a run: ``storage`` takes every read slot's bin and sign from
+its report.  The dot kernel ``_emission_signs`` is kept for
+``storage.ModeLedger.apply_mask``, the reference model that replays one mask
+at a time.
 """
 
 from __future__ import annotations
@@ -348,6 +352,15 @@ class PlanReport:
         return tuple("".join(r) for r in np.where(self._rows > 0, "+", "-"))
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One key per +-1 row, equal for r and -r: the int8 bytes of the row
+    times its first entry.  Two +-1 rows r and c have |r . c| = parts exactly
+    when r = +-c, so they then share a key, and r = r[0] c[0] c."""
+    parts = rows.shape[1]
+    buf = (rows * rows[:, :1]).astype(np.int8).tobytes()
+    return [buf[i * parts:(i + 1) * parts] for i in range(len(rows))]
+
+
 def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanReport:
     """Replay a plan's sign algebra and check its postconditions.
 
@@ -358,6 +371,10 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     all-plus while the rest stay subradiant; the emission order must be the
     identity or the reversal.  A read plan is replayed on the rows stored by
     ``write_plan``, by default the active write plan of the same geometry.
+
+    Rows are compared by ``_row_keys``, in O(events x parts) plus one dict
+    lookup per read slot; only pairwise orthogonality is a Gram matrix, in
+    float64 and exact, since each entry is a sum of ``parts`` terms of +-1.
     """
     stage = plan.stage.removeprefix("passive_")
     if stage not in ("write", "read", "read_reversed"):
@@ -372,36 +389,47 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     # bin n is captured on the all-plus row just before mask n fires and
     # ends in the product of masks n..bins: the reversed running product
     rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
+    keys = _row_keys(rows)
     violations: list[str] = []
 
     if stage == "write":
         if len(rows) != plan.bins:
             violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
-        for n in np.flatnonzero(_emission_signs(rows, ones[None])[:, 0]):
-            violations.append(f"bin {n + 1} ends on the superradiant row")
-        # rows i and j agree up to sign exactly when |row_i . row_j| = parts
-        gram = rows @ rows.T
-        for i, j in np.argwhere(np.triu(np.abs(gram) == rows.shape[1], k=1)):
-            violations.append(f"bins {i + 1} and {j + 1} share a row")
-        if np.any(gram - np.diag(np.diag(gram))):
+        bright = bytes(ones.astype(np.int8))
+        violations += [f"bin {n} ends on the superradiant row"
+                       for n, key in enumerate(keys, start=1) if key == bright]
+        shared: dict[bytes, list[int]] = {}
+        for n, key in enumerate(keys, start=1):
+            shared.setdefault(key, []).append(n)
+        violations += [f"bins {i} and {j} share a row"
+                       for i, key in enumerate(keys, start=1)
+                       for j in shared[key] if j > i]
+        rows_f = rows.astype(float)
+        gram = (rows_f @ rows_f.T).astype(np.int64)
+        # the diagonal holds parts, so any other nonzero entry is off it
+        if np.count_nonzero(gram) != len(rows):
             violations.append("stored rows are not pairwise orthogonal")
         return PlanReport(not violations, tuple(violations), orthogonality=gram,
                           _rows=rows, _end=write_end)
 
     read_masks, _ = _flip_masks(plan, write_end)
-    hits = _emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
-    live = np.ones(len(rows), dtype=bool)
+    cums = np.multiply.accumulate(read_masks, axis=0)
+    # the live bins stored under each key, in bin order
+    live: dict[bytes, list[int]] = {}
+    for n, key in enumerate(keys):
+        live.setdefault(key, []).append(n)
+    row_signs, cum_signs = rows[:, 0].tolist(), cums[:, 0].tolist()
     order: list[int] = []
     signs: list[int] = []
-    for k, slot in enumerate(hits.T, start=1):
-        hot = np.flatnonzero(slot * live)
+    for k, (key, c0) in enumerate(zip(_row_keys(cums), cum_signs), start=1):
+        hot = live.get(key, ())
         if len(hot) != 1:
             violations.append(f"read slot {k}: {len(hot)} rows became "
                               "superradiant (want exactly 1)")
             continue
-        live[hot] = False
-        order.append(int(hot[0]) + 1)
-        signs.append(int(slot[hot[0]]))
+        n = hot.pop()
+        order.append(n + 1)
+        signs.append(row_signs[n] * c0)
     expected = (list(range(plan.bins, 0, -1)) if stage == "read_reversed"
                 else list(range(1, plan.bins + 1)))
     if order != expected:

@@ -11,8 +11,10 @@ slot's bin and sign, for active and passive plans alike.  The write is one
 call, ``dynamics._bins_from_zero``: the local law from c = 0, restarting
 from 0 at every bin edge.  It is exact for a piecewise-exponential packet
 (rectangular, rising exponential, time-bin qubit, a recall fed back in), in
-O(pieces + bins) scalar steps, and one RK4 scan of the cell values, sampled
-once, for any other.  Read slots decay freely; loss and pulse failure are
+O(pieces + bins) scalar steps.  For any other it takes each bin's captured
+amplitude as one weighted sum of the RK4 forcing of the cell values,
+sampled once; the RK4 scan over every node runs only when the transmitted
+packet is read.  Read slots decay freely; loss and pulse failure are
 scalar factors, so stored and emitted amplitudes are closed forms.  The
 report's ``transmitted`` and ``output`` packets are sampled on their first
 read, O(samples) each, so a store and recall of a piecewise-exponential

@@ -635,10 +635,14 @@ def test_sampled_write_runs_one_rk4_scan(params, monkeypatch):
     f_in, write, read = _piecewise_setup(params, [0.6, 0.48j, -0.64], 4, True)
     for f in (f_in, packet_from_samples(f_in.grid, f_in.samples, f_in.breakpoints)):
         calls.clear()
-        end_to_end(f, write, read, params)
-        # three bins and the tail, 500 steps each: one scan that restarts
-        # at every bin end
-        assert calls == [(2000, [500, 1000, 1500])]
+        rep = end_to_end(f, write, read, params)
+        # the store and its scores run no scan
+        assert calls == []
+        # reading the transmitted packet, twice, runs one scan over three
+        # bins and the tail, 500 steps each, that restarts at every bin end
+        for _ in range(2):
+            rep.transmitted.samples
+            assert calls == [(2000, [500, 1000, 1500])]
 
 
 def test_timebin_qubit_builds_each_grid_once(params, monkeypatch):
@@ -776,12 +780,15 @@ def _sampled_input(params, write, grid):
 
 
 def _assert_bins_restart(params, monkeypatch, write, grid):
-    """A sampled write over ``write`` on ``grid``: it runs one scan that
-    restarts at the bin edges, and its amplitudes are those of each span
-    integrated alone from zero; returns the scan's block count and length."""
+    """A sampled write over ``write`` on ``grid``: it runs no scan until its
+    transmitted packet is read, then one that restarts at the bin edges, and
+    its amplitudes are those of each span integrated alone from zero;
+    returns the scan's block count and length."""
     calls, scan = _counted_scans(monkeypatch)
     f_in = _sampled_input(params, write, grid)
     ledger, transmitted = simulate_write(f_in, write, params)
+    assert calls == []
+    transmitted.samples
     big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
     edges = storage._bin_edges(grid, write)
     assert calls == [(grid.n_samples - 1, edges)]
