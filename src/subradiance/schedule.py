@@ -370,7 +370,8 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     each mask must turn exactly one not-yet-emitted stored row into (minus)
     all-plus while the rest stay subradiant; the emission order must be the
     identity or the reversal.  A read plan is replayed on the rows stored by
-    ``write_plan``, by default the active write plan of the same geometry.
+    ``write_plan``, by default the active write plan of the same geometry,
+    which must be a write of the read's parts and bins.
 
     Rows are compared by ``_row_keys``, in O(events x parts) plus one dict
     lookup per read slot; only pairwise orthogonality is a Gram matrix, in
@@ -382,9 +383,15 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     ones = np.ones(plan.parts, dtype=np.int64)
     write = plan if stage == "write" else (
         write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration))
+    if write.stage.removeprefix("passive_") != "write":
+        return PlanReport(False, (f"write plan has stage {write.stage!r}, want "
+                                  "'write' or 'passive_write'",))
     if write.parts != plan.parts:
         return PlanReport(False, (f"read plan has {plan.parts} parts, its write "
                                   f"plan {write.parts}",))
+    if write.bins != plan.bins:
+        return PlanReport(False, (f"read plan has {plan.bins} bins, its write "
+                                  f"plan {write.bins}",))
     write_masks, write_end = _flip_masks(write, ones)
     # bin n is captured on the all-plus row just before mask n fires and
     # ends in the product of masks n..bins: the reversed running product

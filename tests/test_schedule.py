@@ -273,6 +273,23 @@ def test_verifier_rejects_write_plan_of_other_parts():
             f"read plan has {read.parts} parts, its write plan {write.parts}",)
 
 
+
+def test_verifier_names_a_mismatched_write_plan():
+    # a read replayed on a plan that is no write, or on a write of other
+    # bins, fails on that, not on a read slot or the emission order
+    read = plan_read(4, 3, 1.0)
+    passive = plan_passive(4, 3, 1.0, stage="read")
+    for plan, write, named in (
+            (read, read, "write plan has stage 'read', want 'write' or 'passive_write'"),
+            (passive, passive, "write plan has stage 'passive_read', want 'write' or "
+                               "'passive_write'"),
+            (read, plan_write(4, 2, 1.0), "read plan has 3 bins, its write plan 2"),
+            (passive, plan_passive(4, 2, 1.0, stage="write"),
+             "read plan has 3 bins, its write plan 2")):
+        report = verify_plan(plan, write_plan=write)
+        assert not report.ok
+        assert report.violations == (named,)
+
 def test_pi_pair_validation():
     L = 5e-3
     k = 2 * np.pi / 606e-9
