@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from subradiance import (DomainError, PiPairConfig, PlanError, PulsePlan,
-                         plan_passive, plan_read, plan_write, sylvester,
+from subradiance import (DomainError, PiPairConfig, PlanError, PlanReport, PulsePlan,
+                         plan_passive, plan_read, plan_write, schedule, sylvester,
                          validate_pi_pair, verify_plan)
 
 
@@ -367,3 +368,156 @@ def test_plan_rejects_bins_out_of_range_or_not_whole(bins):
     # a document without bins has none
     del doc["bins"]
     assert PulsePlan.from_json(json.dumps(doc)).bins == 0
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the key verifier against the dot-kernel verifier
+# ---------------------------------------------------------------------------
+
+def _dot_kernel_verify(plan, write_plan=None):
+    """The verifier as it was on the dot kernel: rows compared by
+    |r . c| = parts in bins x events int64 products, read slots walked one
+    ``np.flatnonzero`` at a time.  The reference for the key verifier."""
+    stage = plan.stage.removeprefix("passive_")
+    if stage not in ("write", "read", "read_reversed"):
+        return PlanReport(False, (f"unknown plan stage {plan.stage!r}",))
+    ones = np.ones(plan.parts, dtype=np.int64)
+    write = plan if stage == "write" else (
+        write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration))
+    if write.parts != plan.parts:
+        return PlanReport(False, (f"read plan has {plan.parts} parts, its write "
+                                  f"plan {write.parts}",))
+    write_masks, write_end = schedule._flip_masks(write, ones)
+    rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
+    violations = []
+
+    if stage == "write":
+        if len(rows) != plan.bins:
+            violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
+        for n in np.flatnonzero(schedule._emission_signs(rows, ones[None])[:, 0]):
+            violations.append(f"bin {n + 1} ends on the superradiant row")
+        gram = rows @ rows.T
+        for i, j in np.argwhere(np.triu(np.abs(gram) == rows.shape[1], k=1)):
+            violations.append(f"bins {i + 1} and {j + 1} share a row")
+        if np.any(gram - np.diag(np.diag(gram))):
+            violations.append("stored rows are not pairwise orthogonal")
+        return PlanReport(not violations, tuple(violations), orthogonality=gram,
+                          _rows=rows, _end=write_end)
+
+    read_masks, _ = schedule._flip_masks(plan, write_end)
+    hits = schedule._emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
+    live = np.ones(len(rows), dtype=bool)
+    order, signs = [], []
+    for k, slot in enumerate(hits.T, start=1):
+        hot = np.flatnonzero(slot * live)
+        if len(hot) != 1:
+            violations.append(f"read slot {k}: {len(hot)} rows became "
+                              "superradiant (want exactly 1)")
+            continue
+        live[hot] = False
+        order.append(int(hot[0]) + 1)
+        signs.append(int(slot[hot[0]]))
+    expected = (list(range(plan.bins, 0, -1)) if stage == "read_reversed"
+                else list(range(1, plan.bins + 1)))
+    if order != expected:
+        violations.append(f"emission order {order} != expected {expected}")
+    return PlanReport(not violations, tuple(violations),
+                      emission_order=tuple(order), emission_signs=tuple(signs),
+                      _end=write_end)
+
+
+def _assert_same_report(plan, write_plan=None):
+    got, want = verify_plan(plan, write_plan), _dot_kernel_verify(plan, write_plan)
+    assert got.ok == want.ok
+    assert got.violations == want.violations
+    assert got.emission_order == want.emission_order
+    assert got.emission_signs == want.emission_signs
+    assert got.final_rows == want.final_rows
+    for name in ("orthogonality", "_rows", "_end"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return got
+
+
+def _planner_cases(parts, bins):
+    """Every planner output of one geometry: (plan, write plan) pairs, each
+    read on the default write, the active write and the passive write."""
+    writes = (plan_write(parts, bins, 1.0), plan_passive(parts, bins, 1.0, "write"))
+    for w in writes:
+        yield w, None
+    for reversed_ in (False, True):
+        for read in (plan_read(parts, bins, 1.0, reversed_),
+                     plan_passive(parts, bins, 1.0, "read", reversed_)):
+            for w in (None, *writes):
+                yield read, w
+
+
+@pytest.mark.parametrize("parts, bins_list", [
+    *[(parts, range(1, parts)) for parts in (2, 4, 8, 16, 32)],
+    *[(parts, (1, parts // 2, parts - 1)) for parts in (64, 128, 256)]])
+def test_key_verifier_matches_dot_kernel_on_planner_outputs(parts, bins_list):
+    for bins in bins_list:
+        for plan, write in _planner_cases(parts, bins):
+            assert _assert_same_report(plan, write).ok
+
+
+def _with_masks(plan, masks, **changes):
+    return dataclasses.replace(plan, masks=masks, **changes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_verifier_matches_dot_kernel_on_corrupt_plans(seed):
+    rng = np.random.default_rng(seed)
+    for parts in (4, 8, 16, 32, 64):
+        bins = int(rng.integers(3, parts))
+        reversed_ = bool(rng.integers(2))
+        w = plan_write(parts, bins, 1.0)
+        pw = plan_passive(parts, bins, 1.0, "write")
+        reads = (plan_read(parts, bins, 1.0, reversed_),
+                 plan_passive(parts, bins, 1.0, "read", reversed_))
+        for plan in (w, pw, *reads):
+            events = len(plan.times)
+            # random +-1 masks
+            noise = rng.choice([-1, 1], size=(events, parts))
+            _assert_same_report(_with_masks(plan, noise))
+            i, j = rng.choice(events, size=2, replace=False)
+            # one mask duplicated, and two masks swapped
+            dup = plan.masks.copy()
+            dup[j] = dup[i]
+            _assert_same_report(_with_masks(plan, dup))
+            swap = plan.masks.copy()
+            swap[[i, j]] = swap[[j, i]]
+            _assert_same_report(_with_masks(plan, swap))
+        # three bins on one row (up to sign): two identity-like flips in a row
+        three = w.masks.copy()
+        n = int(rng.integers(0, bins - 2))
+        three[n] = 1
+        three[n + 1] = -1
+        report = _assert_same_report(_with_masks(w, three))
+        assert f"bins {n + 1} and {n + 3} share a row" in report.violations
+        for read in reads:
+            _assert_same_report(read, _with_masks(w, three))
+        # a read replayed on a passive write that lost its opening pattern:
+        # it declares the read's bins but stores one row fewer
+        short = PulsePlan(parts, pw.times[1:], pw.masks[1:], 1.0, "passive_write", bins)
+        for read in reads:
+            report = _assert_same_report(read, short)
+            assert not report.ok
+        # a write one bin short by its own count is named as such
+        fewer = plan_write(parts, bins - 1, 1.0)
+        for read in reads:
+            assert verify_plan(read, fewer).violations == (
+                f"read plan has {bins} bins, its write plan {bins - 1}",)
+            assert not _dot_kernel_verify(read, fewer).ok
+
+
+def test_key_verifier_matches_dot_kernel_on_plans_of_no_bins():
+    for parts in (2, 4, 16):
+        empty = np.zeros((0, parts), dtype=np.int64)
+        write = PulsePlan(parts, (), empty, 1.0, "write", 0)
+        assert _assert_same_report(write).ok
+        for stage in ("read", "read_reversed", "passive_read"):
+            assert _assert_same_report(PulsePlan(parts, (), empty, 1.0, stage, 0),
+                                       write).ok

@@ -1,5 +1,4 @@
 import collections
-import copy
 import dataclasses
 import functools
 import math
@@ -115,6 +114,27 @@ def _decay(ledger, rate, duration):
         e.amplitude *= math.exp(-rate * duration / 2.0)
 
 
+def _ledger_replay(params, f_in, write, read, loss, s):
+    """Stored amplitudes by bin as of the read's first slot, and emitted
+    amplitudes by bin, from ``ModeLedger.apply_mask`` one mask at a time, on
+    the amplitudes the write captured without loss."""
+    captured = simulate_write(f_in, write, params)[0].amplitudes_by_bin()
+    ledger, t = ModeLedger(write.parts), f_in.grid.t0
+    for n, e in enumerate(write.events, start=1):
+        _decay(ledger, loss, e.time - t)
+        ledger.active_amplitude, ledger.active_bin, t = captured[n], n, e.time
+        ledger.apply_mask(e.mask, capture_bin=n, success_amplitude=s)
+    _decay(ledger, loss, read.times[0] - t)
+    stored, emitted = ledger.amplitudes_by_bin(), {}
+    for e, t_off in zip(read.events, [*read.times[1:], read.t_end]):
+        ledger.apply_mask(e.mask, success_amplitude=s)
+        _decay(ledger, loss, t_off - e.time)
+        amp, lag = ledger.active_amplitude, (t_off - e.time) / params.tau_R
+        emitted[ledger.active_bin] = amp * math.sqrt(1.0 - math.exp(-lag))
+        ledger.active_amplitude = amp * math.exp(-lag / 2.0)
+    return stored, emitted
+
+
 @pytest.mark.parametrize("parts", [2, 4, 8, 16, 32])
 def test_closed_form_matches_ledger_replay(params, parts):
     # stored and emitted amplitudes against a mask-by-mask ledger replay,
@@ -125,31 +145,16 @@ def test_closed_form_matches_ledger_replay(params, parts):
         amps = rng.normal(size=bins) + 1j * rng.normal(size=bins)
         f_in, write, _ = _piecewise_setup(params, amps / np.linalg.norm(amps), parts,
                                           False, bin_in_tau_r=0.5)
-        captured = simulate_write(f_in, write, params)[0].amplitudes_by_bin()
         ledger, _ = simulate_write(f_in, write, params, loss, s)
-        ref, t = ModeLedger(parts), f_in.grid.t0
-        for n, e in enumerate(write.events, start=1):
-            _decay(ref, loss, e.time - t)
-            ref.active_amplitude, ref.active_bin, t = captured[n], n, e.time
-            ref.apply_mask(e.mask, capture_bin=n, success_amplitude=s)
-        _decay(ref, loss, f_in.grid.t_end - t)
-        stored = ledger.amplitudes_by_bin()
-        want = ref.amplitudes_by_bin()
-        assert sorted(stored) == sorted(want) == list(range(1, bins + 1))
-        assert max(abs(stored[n] - want[n]) for n in want) < 1e-12
+        got = ledger.amplitudes_by_bin()
         for time_reversed in (False, True):
             read = plan_read(parts, bins, write.bin_duration,
                              time_reversed=time_reversed, t0=write.t_end)
+            stored, emitted = _ledger_replay(params, f_in, write, read, loss, s)
+            assert sorted(got) == sorted(stored) == list(range(1, bins + 1))
+            assert max(abs(got[n] - stored[n]) for n in stored) < 1e-12
             _, record = simulate_read(ledger, read, params, loss, dt=f_in.grid.dt,
                                       write_plan=write, pulse_success_amplitude=s)
-            replay, emitted = copy.deepcopy(ref), {}
-            for e, t_off in zip(read.events, [*(e.time for e in read.events[1:]),
-                                              read.t_end]):
-                replay.apply_mask(e.mask, success_amplitude=s)
-                _decay(replay, loss, t_off - e.time)
-                amp, lag = replay.active_amplitude, (t_off - e.time) / params.tau_R
-                emitted[replay.active_bin] = amp * math.sqrt(1.0 - math.exp(-lag))
-                replay.active_amplitude = amp * math.exp(-lag / 2.0)
             assert record.bins == tuple(emitted)
             assert max(abs(a - b) for a, b in zip(record.emitted,
                                                   emitted.values())) < 1e-12
@@ -838,3 +843,95 @@ def test_sampled_write_with_uneven_bins_bounds_its_forcing(params, monkeypatch):
         tracemalloc.stop()
     # the write holds a few grid-length arrays (2.4 MB here), not 20 MB
     assert peak < 16 * 16 * grid.n_samples
+
+
+# ---------------------------------------------------------------------------
+# seeded store differential: the write, the verifier and the read against
+# each other and against the mask-by-mask ledger
+# ---------------------------------------------------------------------------
+
+_SCALARS = ("write_efficiency", "read_efficiency", "total_efficiency", "fidelity",
+            "bin_probability_error", "input_norm")
+
+
+def _assert_reports_agree(got, want, tol=1e-9, scale=1.0):
+    """Every scalar of two reports agrees within ``tol``; ``scale`` (the
+    loss of a longer hold) multiplies the captured and emitted amplitudes
+    and the write and total efficiencies of ``want``."""
+    for name in _SCALARS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name in ("write_efficiency", "total_efficiency"):
+            b *= scale ** 2
+        assert a == pytest.approx(b, abs=tol), name
+    for name in ("captured", "emitted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys(), name
+        assert max(abs(a[n] - b[n] * scale) for n in a) < tol, name
+
+
+def _seeded_store(params, rng):
+    """A complex exponential piece in each bin of a random plan, on a grid
+    with a tail past the last write pulse, 0.9 photons in all."""
+    parts = int(rng.choice([4, 8, 16]))
+    bins = int(rng.integers(2, parts))
+    dt = params.tau_R / 200
+    bd = int(rng.integers(100, 400)) * dt
+    write = plan_write(parts, bins, bd)
+    grid = make_grid(params, write.t_end + int(rng.integers(0, 200)) * dt, dt=dt)
+    edges = np.arange(bins + 1) * bd
+    taus = rng.choice([-1.0, 1.0, np.inf], bins) * rng.uniform(1, 5, bins) * params.tau_R
+    # a rising piece is referred to its end, any other to its start
+    refs = np.where(taus > 0, edges[1:], edges[:-1])
+    amps = rng.normal(size=bins) + 1j * rng.normal(size=bins)
+    bps = tuple(edges.tolist())
+
+    def packet(level):
+        shape = dynamics._exp_pieces(edges, np.append(amps * level, 0.0),
+                                     np.append(taus, np.inf), np.append(refs, 0.0))
+        return WavePacket(grid, dynamics._node_samples(shape, grid, bps), shape=shape,
+                          breakpoints=bps)
+
+    return packet(math.sqrt(0.9 / packet_norm(packet(1.0), params))), write
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_seeded_store_differential(params, seed):
+    rng = np.random.default_rng(seed)
+    f_in, write = _seeded_store(params, rng)
+    parts, bins, bd = write.parts, write.bins, write.bin_duration
+    loss, s = rng.uniform(0.005, 0.05) / params.tau_R, rng.uniform(0.97, 1.0)
+    reversed_ = bool(rng.integers(2))
+    t_read = f_in.grid.t_end
+    read = plan_read(parts, bins, bd, reversed_, t0=t_read)
+    rk4_in = _rk4_twin(f_in)
+    exact = end_to_end(f_in, write, read, params, loss, s)
+    rk4 = end_to_end(rk4_in, write, read, params, loss, s)
+    # the exact write against the RK4 write of the same shape
+    _assert_reports_agree(rk4, exact)
+    # passive plans store and recall as the active ones do
+    passive = end_to_end(f_in, plan_passive(parts, bins, bd, "write"),
+                         plan_passive(parts, bins, bd, "read", reversed_, t0=t_read),
+                         params, loss, s)
+    _assert_reports_agree(passive, exact)
+    # every slot is as long, so without loss or pulse failure the read order
+    # changes no score
+    forward, backward = (end_to_end(f_in, write, plan_read(parts, bins, bd, r, t0=t_read),
+                                    params) for r in (False, True))
+    _assert_reports_agree(backward, forward)
+    # the mask-by-mask ledger stores and emits what the closed forms do
+    stored, emitted = _ledger_replay(params, f_in, write, read, loss, s)
+    assert exact.captured.keys() == stored.keys() == set(range(1, bins + 1))
+    assert max(abs(exact.captured[n] - stored[n]) for n in stored) < 1e-12
+    assert exact.emitted.keys() == emitted.keys()
+    assert max(abs(exact.emitted[n] - emitted[n]) for n in emitted) < 1e-12
+    # a read that starts after the input grid's end holds every bin longer
+    delay = int(rng.integers(1, 2000)) * f_in.grid.dt
+    later = plan_read(parts, bins, bd, reversed_, t0=t_read + delay)
+    for f, report in ((f_in, exact), (rk4_in, rk4)):
+        _assert_reports_agree(end_to_end(f, write, later, params, loss, s), report,
+                              scale=math.exp(-loss * delay / 2))
+    # the transmitted packet of the RK4 write, read after the fact and read
+    # again, is the restarting RK4 scan of its forcing, to the bit
+    want = _eager_transmitted(rk4_in, write, params)
+    for _ in range(2):
+        assert rk4.transmitted.samples.tobytes() == want.tobytes()
