@@ -397,20 +397,19 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     # ends in the product of masks n..bins: the reversed running product
     rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
     keys = _row_keys(rows)
+    # the bins stored under each key, in bin order
+    bins_of: dict[bytes, list[int]] = {}
+    for n, key in enumerate(keys):
+        bins_of.setdefault(key, []).append(n)
     violations: list[str] = []
 
     if stage == "write":
         if len(rows) != plan.bins:
             violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
-        bright = bytes(ones.astype(np.int8))
-        violations += [f"bin {n} ends on the superradiant row"
-                       for n, key in enumerate(keys, start=1) if key == bright]
-        shared: dict[bytes, list[int]] = {}
-        for n, key in enumerate(keys, start=1):
-            shared.setdefault(key, []).append(n)
-        violations += [f"bins {i} and {j} share a row"
-                       for i, key in enumerate(keys, start=1)
-                       for j in shared[key] if j > i]
+        violations += [f"bin {n + 1} ends on the superradiant row"
+                       for n in bins_of.get(_row_keys(ones[None])[0], ())]
+        violations += [f"bins {i + 1} and {j + 1} share a row"
+                       for i, key in enumerate(keys) for j in bins_of[key] if j > i]
         rows_f = rows.astype(float)
         gram = (rows_f @ rows_f.T).astype(np.int64)
         # the diagonal holds parts, so any other nonzero entry is off it
@@ -421,15 +420,12 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
 
     read_masks, _ = _flip_masks(plan, write_end)
     cums = np.multiply.accumulate(read_masks, axis=0)
-    # the live bins stored under each key, in bin order
-    live: dict[bytes, list[int]] = {}
-    for n, key in enumerate(keys):
-        live.setdefault(key, []).append(n)
     row_signs, cum_signs = rows[:, 0].tolist(), cums[:, 0].tolist()
     order: list[int] = []
     signs: list[int] = []
     for k, (key, c0) in enumerate(zip(_row_keys(cums), cum_signs), start=1):
-        hot = live.get(key, ())
+        # the live bins on this key: each emitted bin is popped from its list
+        hot = bins_of.get(key, ())
         if len(hot) != 1:
             violations.append(f"read slot {k}: {len(hot)} rows became "
                               "superradiant (want exactly 1)")

@@ -463,8 +463,8 @@ def test_key_verifier_matches_dot_kernel_on_planner_outputs(parts, bins_list):
             assert _assert_same_report(plan, write).ok
 
 
-def _with_masks(plan, masks, **changes):
-    return dataclasses.replace(plan, masks=masks, **changes)
+def _with_masks(plan, masks):
+    return dataclasses.replace(plan, masks=masks)
 
 
 @pytest.mark.parametrize("seed", range(4))
