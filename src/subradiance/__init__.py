@@ -8,12 +8,11 @@ from .errors import (ConfigError, DomainError, GridError, PlanError,
 from .params import (C_LIGHT, EnsembleInput, EnsembleParams, density_for_tau_r,
                      derive_params, validate_regime)
 from .dynamics import (AmplitudeTrajectory, TimeGrid, WavePacket,
-                       check_single_photon_norm, closed_form_rectangular,
-                       closed_form_rising, evolve_amplitude, forward_scatter,
-                       make_grid, optimize_capture, output_field,
-                       packet_from_samples, packet_norm, packet_overlap,
-                       rectangular_packet, rising_exponential,
-                       trajectory_table, zero_packet)
+                       closed_form_rectangular, closed_form_rising,
+                       evolve_amplitude, forward_scatter, make_grid,
+                       optimize_capture, output_field, packet_from_samples,
+                       packet_norm, packet_overlap, rectangular_packet,
+                       rising_exponential, trajectory_table, zero_packet)
 from .states import (FullBasisState, Partition, PartitionedState, SignPattern,
                      apply_sign_pattern, brute_force_rate, emission_rate,
                      lower, named_state, symmetric_partitioned,

@@ -24,7 +24,7 @@ from .dynamics import (evolve_amplitude, make_grid, optimize_capture,
 from .errors import ConfigError, DomainError, RegimeError, SubradianceError
 from .params import (EnsembleInput, density_for_tau_r, derive_params,
                      validate_regime)
-from .schedule import plan_passive, plan_read, plan_write, verify_plan
+from .schedule import _verify_read, plan_passive, plan_read, plan_write, verify_plan
 from .states import emission_rate, named_state
 from .storage import _bin_grid, end_to_end, timebin_qubit_report
 from .threelevel import DriveConfig, ThreeLevelState, failure_probability, \
@@ -332,7 +332,7 @@ def _scenario_rates(cfg, root, p):
 def _scenario_schedule(cfg, root, p):
     write, read = _plans(_read(cfg, "schedule", p), False)
     wrep = verify_plan(write)
-    rrep = verify_plan(read, write_plan=write)
+    rrep = _verify_read(read, write, wrep)
     return {
         "write_plan": write.to_json(),
         "read_plan": read.to_json(),

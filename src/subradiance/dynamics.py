@@ -83,7 +83,6 @@ __all__ = [
     "packet_from_samples",
     "packet_norm",
     "packet_overlap",
-    "check_single_photon_norm",
     "evolve_amplitude",
     "output_field",
     "forward_scatter",
@@ -425,15 +424,10 @@ def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
     return complex(total) / p.tau_E
 
 
-def _require_one_photon(norm: float, slack: float = 1e-6) -> float:
-    if norm > 1.0 + slack:
+def _require_one_photon(norm: float) -> float:
+    if norm > 1.0 + 1e-6:
         raise DomainError(f"packet norm {norm} exceeds one photon")
     return norm
-
-
-def check_single_photon_norm(f: WavePacket, p: EnsembleParams,
-                             slack: float = 1e-6) -> float:
-    return _require_one_photon(packet_norm(f, p), slack)
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:

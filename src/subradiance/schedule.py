@@ -23,14 +23,14 @@ and for the mask-by-mask reference model.
 Planner and verifier share the running products of
 ``np.multiply.accumulate``.  A row parked under running product r radiates
 under running product c exactly when |r . c| = parts, that is when
-r = +-c, and then with the sign r[0] c[0].  ``verify_plan`` tests this by
-row keys (``_row_keys``: the int8 bytes of a row times its first entry,
-shared by r and -r), in O(events x parts) plus one dict lookup per read
-slot; only pairwise orthogonality is a Gram matrix.  ``verify_plan`` is the
-only replay on a run: ``storage`` takes every read slot's bin and sign from
-its report.  The dot kernel ``_emission_signs`` is kept for
-``storage.ModeLedger.apply_mask``, the reference model that replays one mask
-at a time.
+r = +-c, and then with the sign r[0] c[0].  ``verify_plan`` checks a write
+on its rows' Gram matrix, kept by no report, and replays a read on its
+write's report (``_verify_read``), matching slots to rows by key (the int8
+bytes of a row times its first entry, shared by r and -r) in O(events x
+parts): a store and recall replays each plan once, and ``storage`` takes
+every read slot's bin and sign from the read report.  The dot kernel
+``_emission_signs`` is kept for ``storage.ModeLedger.apply_mask``, the
+reference model that replays one mask at a time.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class PulsePlan:
                             f"{self.parts} parts per event ({len(times)})")
         if not np.all((masks == 1) | (masks == -1)):
             raise PlanError("mask entries must be +1 or -1")
-        # int64, not int8: products of 256-part rows reach +-256
+        # int64: dot products of these rows in _emission_signs reach +-parts
         masks = masks.astype(np.int64, copy=False)
         masks.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -282,14 +282,13 @@ def plan_passive(parts: int, bins: int, bin_duration: float,
     if stage not in ("write", "read"):
         raise PlanError("stage must be 'write' or 'read'")
     _check_geometry(parts, bins)
-    ones = np.ones(parts, dtype=np.int64)
     if stage == "write":
         active = plan_write(parts, bins, bin_duration, t0)
-        start, times = ones, [t0]  # opens with all modulators off
+        start, times = np.ones(parts, dtype=np.int64), [t0]  # all modulators off
         base_stage = "passive_write"
     else:
         active = plan_read(parts, bins, bin_duration, time_reversed, t0)
-        start, times = _flip_masks(plan_write(parts, bins, bin_duration), ones)[1], []
+        start, times = plan_write(parts, bins, bin_duration).masks.prod(axis=0), []
         base_stage = "passive_read_reversed" if time_reversed else "passive_read"
     times += active.times
     cums = np.multiply.accumulate(np.vstack([start, active.masks]), axis=0)
@@ -338,7 +337,6 @@ class PlanReport:
     violations: tuple[str, ...]
     emission_order: tuple[int, ...] = ()
     emission_signs: tuple[int, ...] = ()
-    orthogonality: np.ndarray | None = None
     # +-1 rows a write plan stores its bins in, one per bin
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     # running mask product the write ends on (and a read replays from)
@@ -351,13 +349,19 @@ class PlanReport:
             return ()
         return tuple("".join(r) for r in np.where(self._rows > 0, "+", "-"))
 
+    @property
+    def orthogonality(self) -> np.ndarray | None:
+        """The stored rows' int64 Gram matrix, built when read."""
+        rows = None if self._rows is None else self._rows.astype(float)
+        return None if rows is None else (rows @ rows.T).astype(np.int64)
+
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """One key per +-1 row, equal for r and -r: the int8 bytes of the row
     times its first entry.  Two +-1 rows r and c have |r . c| = parts exactly
     when r = +-c, so they then share a key, and r = r[0] c[0] c."""
     parts = rows.shape[1]
-    buf = (rows * rows[:, :1]).astype(np.int8).tobytes()
+    buf = (rows.astype(np.int8) * rows[:, :1].astype(np.int8)).tobytes()
     return [buf[i * parts:(i + 1) * parts] for i in range(len(rows))]
 
 
@@ -369,20 +373,41 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     distinct, pairwise orthogonal and not (minus) all-plus.  Read plans:
     each mask must turn exactly one not-yet-emitted stored row into (minus)
     all-plus while the rest stay subradiant; the emission order must be the
-    identity or the reversal.  A read plan is replayed on the rows stored by
+    identity or the reversal.  A read plan is replayed on the report of
     ``write_plan``, by default the active write plan of the same geometry,
     which must be a write of the read's parts and bins.
-
-    Rows are compared by ``_row_keys``, in O(events x parts) plus one dict
-    lookup per read slot; only pairwise orthogonality is a Gram matrix, in
-    float64 and exact, since each entry is a sum of ``parts`` terms of +-1.
     """
     stage = plan.stage.removeprefix("passive_")
     if stage not in ("write", "read", "read_reversed"):
         return PlanReport(False, (f"unknown plan stage {plan.stage!r}",))
-    ones = np.ones(plan.parts, dtype=np.int64)
-    write = plan if stage == "write" else (
-        write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration))
+    if stage == "write":
+        return _verify_write(plan)
+    write = write_plan or plan_write(plan.parts, plan.bins, plan.bin_duration)
+    return _verify_read(plan, write, _verify_write(write))
+
+
+def _verify_write(plan: PulsePlan) -> PlanReport:
+    write_masks, write_end = _flip_masks(plan, np.ones(plan.parts, dtype=np.int64))
+    # bin n is captured on the all-plus row just before mask n fires and
+    # ends in the product of masks n..bins: the reversed running product
+    rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
+    rows_f = rows.astype(np.float32)
+    gram = rows_f @ rows_f.T  # exact: each entry sums parts terms of +-1
+    violations: list[str] = []
+    if len(rows) != plan.bins:
+        violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
+    violations += [f"bin {n + 1} ends on the superradiant row"
+                   for n in np.flatnonzero(np.abs(rows.sum(axis=1)) == plan.parts)]
+    # the diagonal holds parts; off it, bins sharing a row have |r . c| = parts
+    if np.count_nonzero(gram) != len(rows):
+        violations += [f"bins {i + 1} and {j + 1} share a row"
+                       for i, j in np.argwhere(np.triu(np.abs(gram) == plan.parts, k=1))]
+        violations.append("stored rows are not pairwise orthogonal")
+    return PlanReport(not violations, tuple(violations), _rows=rows, _end=write_end)
+
+
+def _verify_read(plan: PulsePlan, write: PulsePlan, report: PlanReport) -> PlanReport:
+    """The read half of ``verify_plan``, on the ``report`` of ``write``."""
     if write.stage.removeprefix("passive_") != "write":
         return PlanReport(False, (f"write plan has stage {write.stage!r}, want "
                                   "'write' or 'passive_write'",))
@@ -392,35 +417,13 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
     if write.bins != plan.bins:
         return PlanReport(False, (f"read plan has {plan.bins} bins, its write "
                                   f"plan {write.bins}",))
-    write_masks, write_end = _flip_masks(write, ones)
-    # bin n is captured on the all-plus row just before mask n fires and
-    # ends in the product of masks n..bins: the reversed running product
-    rows = np.multiply.accumulate(write_masks[::-1], axis=0)[::-1]
-    keys = _row_keys(rows)
-    # the bins stored under each key, in bin order
+    # the bins stored under each row key, in bin order
     bins_of: dict[bytes, list[int]] = {}
-    for n, key in enumerate(keys):
+    for n, key in enumerate(_row_keys(report._rows)):
         bins_of.setdefault(key, []).append(n)
+    cums = np.multiply.accumulate(_flip_masks(plan, report._end)[0], axis=0)
+    row_signs, cum_signs = report._rows[:, 0].tolist(), cums[:, 0].tolist()
     violations: list[str] = []
-
-    if stage == "write":
-        if len(rows) != plan.bins:
-            violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
-        violations += [f"bin {n + 1} ends on the superradiant row"
-                       for n in bins_of.get(_row_keys(ones[None])[0], ())]
-        violations += [f"bins {i + 1} and {j + 1} share a row"
-                       for i, key in enumerate(keys) for j in bins_of[key] if j > i]
-        rows_f = rows.astype(float)
-        gram = (rows_f @ rows_f.T).astype(np.int64)
-        # the diagonal holds parts, so any other nonzero entry is off it
-        if np.count_nonzero(gram) != len(rows):
-            violations.append("stored rows are not pairwise orthogonal")
-        return PlanReport(not violations, tuple(violations), orthogonality=gram,
-                          _rows=rows, _end=write_end)
-
-    read_masks, _ = _flip_masks(plan, write_end)
-    cums = np.multiply.accumulate(read_masks, axis=0)
-    row_signs, cum_signs = rows[:, 0].tolist(), cums[:, 0].tolist()
     order: list[int] = []
     signs: list[int] = []
     for k, (key, c0) in enumerate(zip(_row_keys(cums), cum_signs), start=1):
@@ -433,10 +436,10 @@ def verify_plan(plan: PulsePlan, write_plan: PulsePlan | None = None) -> PlanRep
         n = hot.pop()
         order.append(n + 1)
         signs.append(row_signs[n] * c0)
-    expected = (list(range(plan.bins, 0, -1)) if stage == "read_reversed"
+    expected = (list(range(plan.bins, 0, -1)) if plan.stage.endswith("read_reversed")
                 else list(range(1, plan.bins + 1)))
     if order != expected:
         violations.append(f"emission order {order} != expected {expected}")
     return PlanReport(not violations, tuple(violations),
                       emission_order=tuple(order), emission_signs=tuple(signs),
-                      _end=write_end)
+                      _end=report._end)

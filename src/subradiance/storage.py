@@ -6,19 +6,22 @@ A pulse mask is a norm-preserving relabeling of rows.  Residual subradiant
 decay (the 1/(N-2)-suppressed rates) can be switched on as a uniform
 amplitude loss for sensitivity studies; it defaults to zero.
 
-``verify_plan`` is the only replay of the sign algebra: it fixes every read
-slot's bin and sign, for active and passive plans alike.  The write is one
-call, ``dynamics._bins_from_zero``: the local law from c = 0, restarting
-from 0 at every bin edge.  It is exact for a piecewise-exponential packet
-(rectangular, rising exponential, time-bin qubit, a recall fed back in), in
-O(pieces + bins) scalar steps.  For any other it takes each bin's captured
-amplitude as one weighted sum of the RK4 forcing of the cell values,
-sampled once; the RK4 scan over every node runs only when the transmitted
-packet is read.  Read slots decay freely; loss and pulse failure are
-scalar factors, so stored and emitted amplitudes are closed forms.  The
-report's ``transmitted`` and ``output`` packets are sampled on their first
-read, O(samples) each, so a store and recall of a piecewise-exponential
-packet that no caller samples costs O(pieces + bins) and allocates no grid.
+A store and recall runs in stages (verify the write, write, verify the read
+on the write's report, read, score): each plan is replayed once, the read
+report fixes every slot's bin and sign, for active and passive plans alike,
+and the stored amplitudes pass between stages as one vector, not a ledger.
+The write is one call, ``dynamics._bins_from_zero``: the local law from
+c = 0, restarting from 0 at every bin edge.  It is exact for a
+piecewise-exponential packet (rectangular, rising exponential, time-bin
+qubit, a recall fed back in), in O(pieces + bins) scalar steps.  For any
+other it takes each bin's captured amplitude as one weighted sum of the RK4
+forcing of the cell values, sampled once; the RK4 scan over every node runs
+only when the transmitted packet is read.  Read slots decay freely; loss
+and pulse failure are scalar factors, so stored and emitted amplitudes are
+closed forms.  The report's ``transmitted`` and ``output`` packets are
+sampled on their first read, O(samples) each, so a store and recall of a
+piecewise-exponential packet that no caller samples costs O(pieces + bins)
+and allocates no grid.
 ``ModeLedger.apply_mask`` is the mask-by-mask reference model.
 """
 
@@ -33,7 +36,8 @@ from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket, _bins_from
                        _exp_pieces, _lazy_packet, _shape_packet, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
-from .schedule import PlanReport, PulsePlan, _emission_signs, verify_plan
+from .schedule import (PlanReport, PulsePlan, _emission_signs, _verify_read, plan_read,
+                       plan_write, verify_plan)
 from .states import SignPattern
 
 __all__ = [
@@ -154,9 +158,7 @@ def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
     return edges
 
 
-def _require_verified(plan: PulsePlan,
-                      write_plan: PulsePlan | None = None) -> PlanReport:
-    report = verify_plan(plan, write_plan)
+def _require_ok(report: PlanReport) -> PlanReport:
     if not report.ok:
         raise PlanError("plan failed verification: " + "; ".join(report.violations))
     return report
@@ -179,17 +181,22 @@ def simulate_write(
     absorbed) packet on the input grid, whose samples are built on first
     read.
     """
-    return _write(f_in, plan, p, loss_rate, pulse_success_amplitude)[:2]
+    report, stored, transmitted = _write(f_in, plan, p, loss_rate,
+                                         pulse_success_amplitude)[:3]
+    # bin n is parked under the final running product times its stored row
+    ledger = ModeLedger(plan.parts, [LedgerEntry(n, row, a) for n, (row, a) in enumerate(
+        zip(report._end * report._rows, stored.tolist()), start=1)])
+    ledger._product = report._end
+    return ledger, transmitted
 
 
 def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
            loss_rate: float, pulse_success_amplitude: float,
            until: float | None = None):
-    """``simulate_write``, exact for a piecewise-exponential packet and on
-    the input's cell values, sampled once, for any other; also returns the
-    input norm and the input's bin amplitudes.  ``until`` is the time the
-    store is held to, by default the grid's end."""
-    report = _require_verified(plan)
+    """Verify and write: the plan's report, the stored amplitudes (bin n at
+    index n - 1), the transmitted packet, the input norm and the input's bin
+    amplitudes; the store is held to ``until``, by default the grid's end."""
+    report = _require_ok(verify_plan(plan))
     grid = f_in.grid
     edges = _bin_edges(grid, plan)
     if edges and edges[0] == 0:
@@ -203,12 +210,6 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     stored = (np.array(captured, dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
               * pulse_success_amplitude ** np.arange(len(edges), 0, -1))
-    # bin n is parked under the final running product times its stored row
-    parked = report._end * report._rows
-    ledger = ModeLedger(plan.parts, [
-        LedgerEntry(n, row, a)
-        for n, (row, a) in enumerate(zip(parked, stored.tolist()), start=1)])
-    ledger._product = report._end
     bps = tuple(sorted(set(f_in.breakpoints) | set(plan.times)))
     gain = math.sqrt(p.tau_E / p.tau_R)
 
@@ -223,7 +224,7 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     # input bin n: sqrt of its photon number, with the phase of its flux
     f_bins = {n: math.sqrt(max(m, 0.0)) * (s / abs(s) if s else 1.0)
               for n, (s, m) in enumerate(zip(sums, numbers), start=1)}
-    return ledger, transmitted, in_norm, f_bins
+    return report, stored, transmitted, in_norm, f_bins
 
 
 def simulate_read(
@@ -245,18 +246,24 @@ def simulate_read(
     samples are built on first read; the read grid's size is checked at
     once.  The caller's ledger is left untouched.
     """
-    report = _require_verified(plan, write_plan)
+    report = _require_ok(verify_plan(plan, write_plan))
     if not np.array_equal(ledger._product, report._end):
         raise PlanError("ledger was not written by the read plan's write plan")
     if dt is None:
         dt = p.tau_R / DEFAULT_STEPS_PER_TAU_R
+    by_bin = ledger.amplitudes_by_bin()
+    stored = np.array([by_bin.get(n, 0j) for n in range(1, plan.bins + 1)], dtype=complex)
+    return _read(stored, report, plan, p, loss_rate, dt, pulse_success_amplitude)
+
+
+def _read(stored: np.ndarray, report: PlanReport, plan: PulsePlan, p: EnsembleParams,
+          loss_rate: float, dt: float, pulse_success_amplitude: float):
     t0 = plan.times[0]
     grid = make_grid(p, plan.t_end - t0, t0=t0, dt=dt)
     # the slot nodes' times, as grid.times holds them
     on = grid.t0 + grid.dt * np.array(_bin_edges(grid, plan))
     off = np.append(on[1:], grid.t_end)
-    stored = ledger.amplitudes_by_bin()
-    amps = (np.array([stored.get(b, 0j) for b in report.emission_order], dtype=complex)
+    amps = (stored[np.array(report.emission_order, dtype=int) - 1]
             * np.array(report.emission_signs) * np.exp(-loss_rate * (on - on[0]) / 2.0)
             * pulse_success_amplitude ** np.arange(1, len(on) + 1))
     two_tr = 2.0 * p.tau_R
@@ -299,14 +306,14 @@ def end_to_end(
     if slots and write_plan.times and slots[0] < write_plan.times[-1] - 1e-6 * f_in.grid.dt:
         raise PlanError(f"read starts at {slots[0]}, before the last write pulse at "
                         f"{write_plan.times[-1]}")
-    ledger, transmitted, in_norm, f_bins = _write(
+    wrep, stored, transmitted, in_norm, f_bins = _write(
         f_in, write_plan, p, loss_rate, pulse_success_amplitude,
         slots[0] if slots else None)
-    captured = ledger.amplitudes_by_bin()
-    stored_sq = ledger.stored_norm_sq()
-    output, record = simulate_read(
-        ledger, read_plan, p, loss_rate, dt=f_in.grid.dt,
-        write_plan=write_plan, pulse_success_amplitude=pulse_success_amplitude)
+    rrep = _require_ok(_verify_read(read_plan, write_plan, wrep))
+    output, record = _read(stored, rrep, read_plan, p, loss_rate, f_in.grid.dt,
+                           pulse_success_amplitude)
+    captured = dict(enumerate(stored.tolist(), start=1))
+    stored_sq = sum(abs(a) ** 2 for a in captured.values())
     emitted_sq = sum(abs(e) ** 2 for e in record.emitted)
 
     fidelity = None
@@ -349,8 +356,6 @@ def _bin_grid(p: EnsembleParams, bin_duration: float, duration: float) -> TimeGr
 
 def _timebin_setup(alpha: complex, beta: complex, separation: float,
                    p: EnsembleParams, time_reversed: bool):
-    from .schedule import plan_read, plan_write
-
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise PlanError("|alpha|^2 + |beta|^2 must be 1")
     if separation < 10.0 * p.tau_R:
@@ -363,9 +368,8 @@ def _timebin_setup(alpha: complex, beta: complex, separation: float,
     shape = _exp_pieces([-math.inf, t1, t2], [alpha * amp, beta * amp, 0.0],
                         [two_tr, two_tr, math.inf], [t1, t2, t2])
     f_in = _shape_packet(grid, shape, (t1, t2))
-    write = plan_write(4, 2, separation)
-    read = plan_read(4, 2, separation, time_reversed=time_reversed, t0=t2)
-    return f_in, write, read
+    return f_in, plan_write(4, 2, separation), plan_read(
+        4, 2, separation, time_reversed=time_reversed, t0=t2)
 
 
 def timebin_qubit_report(

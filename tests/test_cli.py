@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subradiance import cli
+from subradiance import cli, schedule
 from subradiance.cli import build_parser, main, parse_time
 from subradiance.errors import ConfigError
 
@@ -480,6 +480,22 @@ def test_store_honours_passive(tmp_path, capsys, monkeypatch):
                 for passive in (False, True)]
         assert outs[0][0] == 0 and outs[0] == outs[1]
     assert stages == ["write", "passive_write"] * 2
+
+
+@pytest.mark.parametrize("passive", [False, True])
+def test_schedule_replays_each_plan_once(tmp_path, capsys, monkeypatch, passive):
+    # the read is verified on the write's report, not on a second replay
+    calls = []
+    replay = schedule._flip_masks
+    monkeypatch.setattr(schedule, "_flip_masks", lambda plan, start: (
+        calls.append(plan.stage), replay(plan, start))[1])
+    code, out, _ = _run(tmp_path, capsys, {
+        "scenario": "schedule", "ensemble": ENSEMBLE,
+        "schedule": {"parts": 16, "bins": 9, "passive": passive}}, "--quiet")
+    report = json.loads(out)["report"]
+    assert code == 0 and report["write_ok"] and report["read_ok"]
+    assert report["emission_order"] == list(range(1, 10))
+    assert calls == (["passive_write", "passive_read"] if passive else ["write", "read"])
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

@@ -401,8 +401,11 @@ def _dot_kernel_verify(plan, write_plan=None):
             violations.append(f"bins {i + 1} and {j + 1} share a row")
         if np.any(gram - np.diag(np.diag(gram))):
             violations.append("stored rows are not pairwise orthogonal")
-        return PlanReport(not violations, tuple(violations), orthogonality=gram,
-                          _rows=rows, _end=write_end)
+        report = PlanReport(not violations, tuple(violations), _rows=rows, _end=write_end)
+        # the report builds its Gram matrix when read: it must be this one
+        assert report.orthogonality.dtype == gram.dtype
+        assert np.array_equal(report.orthogonality, gram)
+        return report
 
     read_masks, _ = schedule._flip_masks(plan, write_end)
     hits = schedule._emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))

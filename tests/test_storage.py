@@ -192,8 +192,8 @@ def test_read_rejects_ledger_of_another_write_plan(params):
 
 
 def test_end_to_end_replays_each_plan_once(params, monkeypatch):
-    # the write and read verifications replay the write plan and the read
-    # plan; storage reads the stored rows and end product off their reports
+    # the write verification replays the write plan, and the read's replays
+    # the read plan on the write report's stored rows and end product
     calls = []
     replay = schedule._flip_masks
 
@@ -204,9 +204,67 @@ def test_end_to_end_replays_each_plan_once(params, monkeypatch):
     monkeypatch.setattr(schedule, "_flip_masks", counted)
     # a replay through a name storage imported itself counts too
     monkeypatch.setattr(storage, "_flip_masks", counted, raising=False)
+    # the run carries the stored amplitudes as a vector: it builds no ledger
+    monkeypatch.setattr(storage, "ModeLedger", None)
     f_in, write, read = _rect_setup(params)
     end_to_end(f_in, write, read, params)
-    assert calls == ["write", "write", "read_reversed"]
+    assert calls == ["write", "read_reversed"]
+
+
+@pytest.mark.parametrize("passive", [False, True])
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_public_steps_match_end_to_end_bitwise(params, monkeypatch, passive,
+                                               time_reversed):
+    # simulate_write then simulate_read run the stages end_to_end runs: with
+    # the read at the write grid's end, both hold the store equally long
+    records = []
+    read_stage = storage._read
+
+    def recorded(*args):
+        out = read_stage(*args)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(storage, "_read", recorded)
+    bd = 0.5 * params.tau_R
+    rng = np.random.default_rng(5)
+    for parts, loss, s in ((8, 0.0, 1.0), (16, 0.3 / params.tau_R, 0.97)):
+        bins = parts - 1
+        amps = rng.normal(size=bins) + 1j * rng.normal(size=bins)
+        f_in, write, read = _piecewise_setup(params, amps / np.linalg.norm(amps), parts,
+                                             time_reversed, bin_in_tau_r=0.5)
+        if passive:
+            write = plan_passive(parts, bins, bd, "write")
+            read = plan_passive(parts, bins, bd, "read", time_reversed, write.t_end)
+        assert read.times[0] == f_in.grid.t_end
+        report = end_to_end(f_in, write, read, params, loss, s)
+        ledger, _ = simulate_write(f_in, write, params, loss, s)
+        _, record = simulate_read(ledger, read, params, loss, dt=f_in.grid.dt,
+                                  write_plan=write, pulse_success_amplitude=s)
+        assert ledger.amplitudes_by_bin() == report.captured
+        assert list(ledger.amplitudes_by_bin()) == list(report.captured)
+        assert record == records[-2]
+        assert dict(zip(record.bins, record.emitted)) == report.emitted
+        assert record.bins == tuple(report.emitted) and len(record.leftover) == bins
+
+
+def test_end_to_end_of_1024_parts_peaks_below_25_mb(params):
+    # 1023 bins of 2.5 tau_R: the plans' replays are 1023 x 1024 int64, 8.4
+    # MB each; a kept Gram matrix, a second write replay or a ledger of
+    # parts-wide rows would add as much again
+    bd = 2.5 * params.tau_R
+    write = plan_write(1024, 1023, bd)
+    read = plan_read(1024, 1023, bd, time_reversed=True, t0=write.t_end)
+    f_in = rectangular_packet(params, make_grid(params, write.t_end), 1023 * bd)
+    tracemalloc.start()
+    try:
+        rep = end_to_end(f_in, write, read, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.emitted) == 1023
+    assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert peak < 25 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +545,12 @@ def _rk4_twin(f_in):
 
 def _assert_paths_agree(f_in, write, params, tol=1e-10):
     assert isinstance(f_in.shape, dynamics._Pieces)
-    exact = storage._write(f_in, write, params, 0.0, 1.0)
-    rk4 = storage._write(_rk4_twin(f_in), write, params, 0.0, 1.0)
-    got, want = exact[0].amplitudes_by_bin(), rk4[0].amplitudes_by_bin()
-    assert got.keys() == want.keys() == set(range(1, write.bins + 1))
-    assert max(abs(got[n] - want[n]) for n in got) < tol
+    # stored amplitudes, transmitted packet, input norm, input bin amplitudes
+    exact = storage._write(f_in, write, params, 0.0, 1.0)[1:]
+    rk4 = storage._write(_rk4_twin(f_in), write, params, 0.0, 1.0)[1:]
+    got, want = exact[0], rk4[0]
+    assert len(got) == len(want) == write.bins
+    assert np.max(np.abs(got - want)) < tol
     assert abs(exact[2] - rk4[2]) < tol
     assert max(abs(exact[3][n] - rk4[3][n]) for n in exact[3]) < tol
     scale = np.max(np.abs(f_in.samples))
@@ -554,11 +613,11 @@ def test_exact_write_of_a_very_long_rising_piece(params):
     grid = make_grid(params, t_end, dt=params.tau_R / 20)
     f_in = rising_exponential(t_end, params, grid)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        ledger, transmitted, in_norm, _ = storage._write(
+        _, stored, transmitted, in_norm, _ = storage._write(
             f_in, plan_write(2, 1, t_end), params, 0.0, 1.0)
         # sampled on this read, still under the raising error state
         assert np.all(np.isfinite(transmitted.samples))
-    assert abs(ledger.amplitudes_by_bin()[1] + 1.0) < 1e-12
+    assert abs(stored[0] + 1.0) < 1e-12
     assert abs(in_norm - 1.0) < 1e-12
 
 
