@@ -2,17 +2,20 @@
 
 All plans are pure sign algebra.  A 2 pi pulse acting on a set of spatial
 parts is a mask of -1 entries on those parts; a stored excitation's state is
-the elementwise product of every mask applied since its capture.  Write
-masks are consecutive-row ratios of the Sylvester-Hadamard matrix, which
-pins the four-part case to the canonical BD / BC / BD order, and read masks
-are chosen so that exactly one stored row returns to (minus) the all-plus
-superradiant row at each read slot.
+the elementwise product of every mask applied since its capture.  Planners
+take Sylvester-Hadamard rows by index (rows from 0, bins from 1), where row
+i times row j is row i ^ j: write mask k is row k ^ (k+1), bin n is stored
+in row (n-1) ^ bins, and the read slot that emits bin n leaves minus that
+row, so exactly that bin returns to (minus) the all-plus superradiant row.
+For four parts this is the canonical BD / BC / BD write order.
 
 The passive scheme replaces pulses by bi-phase modulators placed after each
 spatial part.  A modulator pattern m (entry -1 = on) acts through its
 downstream products s_j = prod_{i >= j} m_i; a pattern is equivalent to the
 active scheme's running flip product c when s = c, i.e.
-m_j = c_j * c_{j+1} (with c beyond the last part taken as +1).
+m_j = c_j * c_{j+1} (with c beyond the last part taken as +1).  A passive
+plan's running products are row k after write bin k, and minus row n-1 at
+the read slot that emits bin n.
 
 A plan is its event times plus one (events x parts) matrix of +-1 masks:
 flips for active stages, absolute modulator patterns for passive ones.
@@ -20,17 +23,15 @@ Planners build that matrix, and the verifier and ``storage`` read it
 directly; ``PulsePlan.events`` formats it as ``PulseEvent`` views for JSON
 and for the mask-by-mask reference model.
 
-Planner and verifier share the running products of
+The verifier replays any plan's running products with
 ``np.multiply.accumulate``.  A row parked under running product r radiates
-under running product c exactly when |r . c| = parts, that is when
-r = +-c, and then with the sign r[0] c[0].  ``verify_plan`` checks a write
-on its rows' Gram matrix, kept by no report, and replays a read on its
-write's report (``_verify_read``), matching slots to rows by key (the int8
-bytes of a row times its first entry, shared by r and -r) in O(events x
-parts): a store and recall replays each plan once, and ``storage`` takes
-every read slot's bin and sign from the read report.  The dot kernel
-``_emission_signs`` is kept for ``storage.ModeLedger.apply_mask``, the
-reference model that replays one mask at a time.
+under running product c exactly when r = +-c, and then with the sign
+r[0] c[0].  ``verify_plan`` checks a write on its rows' Gram matrix, kept by
+no report, and replays a read on its write's report (``_verify_read``),
+matching slots to rows by key (the int8 bytes of a row times its first
+entry, shared by r and -r) in O(events x parts): a store and recall replays
+each plan once, and ``storage`` takes every read slot's bin and sign from
+the read report.
 """
 
 from __future__ import annotations
@@ -58,13 +59,19 @@ __all__ = [
 ]
 
 
+def _sylvester_rows(rows, cols) -> np.ndarray:
+    """Sylvester-Hadamard entries (-1)^popcount(i & j), int64, for each row
+    index i in ``rows`` and column index j in ``cols``.  Row i times row j is
+    row i ^ j, so a product of rows is one row index."""
+    return np.where(np.bitwise_count(rows[:, None] & cols) & 1, -1, 1)
+
+
 def sylvester(order: int) -> np.ndarray:
     """Sylvester-Hadamard matrix: entry (i, j) is (-1)^popcount(i & j)."""
     if order < 2 or order & (order - 1):
         raise DomainError(f"order {order} is not a power of two >= 2")
     i = np.arange(order, dtype=np.int64)
-    # bitwise_count gives uint8, where 1 - 2 * parity would wrap: widen first
-    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
+    return _sylvester_rows(i, i)
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,7 @@ class PulsePlan:
                             f"{self.parts} parts per event ({len(times)})")
         if not np.all((masks == 1) | (masks == -1)):
             raise PlanError("mask entries must be +1 or -1")
-        # int64: dot products of these rows in _emission_signs reach +-parts
+        # int64 is the public dtype, pinned by test_plan_holds_one_read_only_mask_matrix
         masks = masks.astype(np.int64, copy=False)
         masks.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -200,18 +207,6 @@ def _check_geometry(parts: int, bins: int) -> None:
         raise PlanError(f"bins = {bins} must be between 1 and parts - 1 = {parts - 1}")
 
 
-def _emission_signs(rows: np.ndarray, cums: np.ndarray) -> np.ndarray:
-    """Sign with which each row radiates under each running product.
-
-    Row r is turned into s times the all-plus superradiant row by running
-    product c exactly when |r . c| = parts, and then s = sign(r . c).  Entry
-    (i, k) is that sign for rows[i] under cums[k], or 0 where the row stays
-    subradiant.
-    """
-    dots = rows @ cums.T
-    return np.where(np.abs(dots) == rows.shape[1], np.sign(dots), 0)
-
-
 def _flip_masks(plan: PulsePlan,
                 start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A plan's flip masks, (masks x parts), and the running product after them.
@@ -236,33 +231,32 @@ def plan_write(parts: int, bins: int, bin_duration: float,
                t0: float = 0.0) -> PulsePlan:
     """Write schedule: one 2 pi mask at the end of each capture bin.
 
-    Mask k is the elementwise ratio of Sylvester rows k+1 and k, so the
-    excitation captured in bin n ends in row_{bins+1} * row_n: pairwise
-    distinct and orthogonal to all-plus.  For parts=4, bins=3 this is the
-    canonical BD, BC, BD sequence.
+    Mask k (from 0) is row k ^ (k+1).  Bin n, captured on the all-plus
+    row 0, ends in the product of masks n-1 .. bins-1, row (n-1) ^ bins:
+    pairwise distinct, so orthogonal, and never row 0.  For parts=4,
+    bins=3 this is the canonical BD, BC, BD sequence.
     """
     _check_geometry(parts, bins)
-    h = sylvester(parts)
-    times = [t0 + k * bin_duration for k in range(1, bins + 1)]
-    return PulsePlan(parts, times, h[:bins] * h[1:bins + 1], bin_duration,
-                     "write", bins)
+    k = np.arange(bins)
+    times = [t0 + n * bin_duration for n in range(1, bins + 1)]
+    return PulsePlan(parts, times, _sylvester_rows(k ^ (k + 1), np.arange(parts)),
+                     bin_duration, "write", bins)
 
 
 def plan_read(parts: int, bins: int, bin_duration: float,
               time_reversed: bool = False, t0: float = 0.0) -> PulsePlan:
-    """Read schedule: mask k fires at the start of read bin k.
+    """Read schedule: mask k fires at the start of read slot k.
 
-    After mask k the running product equals minus the stored row of the
-    bin emitted in that slot (bin k forward, bin bins+1-k reversed); the
-    leading minus fixes the emitted phase to match the incoming packet.  For
-    parts=4 this gives the canonical AD, BD, BC (forward) and
-    AC, BC, BD (time-reversed) sequences.
+    Slot k emits bin n_k (k forward, bins+1-k reversed), stored in row
+    (n_k-1) ^ bins, and leaves minus that row, which matches the emitted
+    phase to the input's.  So mask 1 is minus row (n_1-1) ^ bins and mask
+    k > 1 is row (n_k-1) ^ (n_{k-1}-1).  For parts=4 this gives the
+    canonical AD, BD, BC (forward) and AC, BC, BD (reversed) sequences.
     """
     _check_geometry(parts, bins)
-    h = sylvester(parts)
-    order = np.arange(bins, 0, -1) if time_reversed else np.arange(1, bins + 1)
-    targets = -(h[bins] * h[order - 1])
-    masks = targets * np.vstack([np.ones(parts, dtype=np.int64), targets[:-1]])
+    emitted = np.arange(bins - 1, -1, -1) if time_reversed else np.arange(bins)
+    masks = _sylvester_rows(emitted ^ np.append(bins, emitted[:-1]), np.arange(parts))
+    masks[0] *= -1
     times = [t0 + k * bin_duration for k in range(bins)]
     stage = "read_reversed" if time_reversed else "read"
     return PulsePlan(parts, times, masks, bin_duration, stage, bins)
@@ -274,27 +268,27 @@ def plan_passive(parts: int, bins: int, bin_duration: float,
     """Bi-phase modulator schedule equivalent to the active one.
 
     Events carry the absolute on/off pattern (-1 = modulator on), not a
-    flip.  Write: an all-off event at t0, then one pattern per active mask;
-    the pattern's downstream products equal the active scheme's running
-    product.  Read: the running products continue from the write total, so
-    the sequence continues seamlessly after a passive write.
+    flip.  Write: an all-off event at t0, then running product row k once
+    bin k is written.  Read: minus row n-1 at the slot that emits bin n (the
+    write's total, row bins, times the active read's minus row (n-1) ^ bins),
+    so the sequence continues seamlessly after a passive write.  The pattern
+    m_j = c_j c_{j+1} of row i is row i at the column indices j ^ (j+1),
+    column ``parts`` being +1; that of minus row i differs in its last entry.
     """
     if stage not in ("write", "read"):
         raise PlanError("stage must be 'write' or 'read'")
     _check_geometry(parts, bins)
     if stage == "write":
-        active = plan_write(parts, bins, bin_duration, t0)
-        start, times = np.ones(parts, dtype=np.int64), [t0]  # all modulators off
-        base_stage = "passive_write"
+        times = [t0] + [t0 + n * bin_duration for n in range(1, bins + 1)]
+        rows, base_stage = np.arange(bins + 1), "passive_write"
     else:
-        active = plan_read(parts, bins, bin_duration, time_reversed, t0)
-        start, times = plan_write(parts, bins, bin_duration).masks.prod(axis=0), []
+        times = [t0 + k * bin_duration for k in range(bins)]
+        rows = np.arange(bins - 1, -1, -1) if time_reversed else np.arange(bins)
         base_stage = "passive_read_reversed" if time_reversed else "passive_read"
-    times += active.times
-    cums = np.multiply.accumulate(np.vstack([start, active.masks]), axis=0)
-    cums = cums[-len(times):]  # one running product per event
-    # pattern m_j = c_j * c_{j+1}, with c beyond the last part taken as +1
-    patterns = cums * np.pad(cums[:, 1:], ((0, 0), (0, 1)), constant_values=1)
+    j = np.arange(parts)
+    patterns = _sylvester_rows(rows, j ^ (j + 1))
+    if stage == "read":
+        patterns[:, -1] *= -1
     return PulsePlan(parts, times, patterns, bin_duration, base_stage, bins)
 
 

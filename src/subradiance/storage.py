@@ -36,8 +36,8 @@ from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket, _bins_from
                        _exp_pieces, _lazy_packet, _shape_packet, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
-from .schedule import (PlanReport, PulsePlan, _emission_signs, _verify_read, plan_read,
-                       plan_write, verify_plan)
+from .schedule import (PlanReport, PulsePlan, _verify_read, plan_read, plan_write,
+                       verify_plan)
 from .states import SignPattern
 
 __all__ = [
@@ -104,13 +104,14 @@ class ModeLedger:
         self._product = self._product * m
         parked = np.array([e.parked_product for e in self.entries],
                           dtype=np.int64).reshape(-1, self.parts)
-        signs = _emission_signs(parked, self._product[None])[:, 0]
-        hot = np.flatnonzero(signs)
+        # a parked row radiates once the running product is plus or minus it
+        plus = np.all(parked == self._product, axis=1)
+        hot = np.flatnonzero(plus | np.all(parked == -self._product, axis=1))
         if len(hot) > 1:
             raise PlanError("mask made more than one row superradiant")
         if len(hot):
             e = self.entries.pop(hot[0])
-            self.active_amplitude = complex(e.amplitude * signs[hot[0]])
+            self.active_amplitude = complex(e.amplitude * (1 if plus[hot[0]] else -1))
             self.active_bin = e.bin_index
 
 

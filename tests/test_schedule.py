@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,42 @@ def test_passive_equivalent_to_active(parts):
             assert report.ok, report.violations
 
 
+def test_plans_follow_the_sylvester_xor_identity():
+    # row i times row j is row i ^ j: bin n is stored in row (n - 1) ^ bins,
+    # and read slot k leaves the flips' running product on minus the row of
+    # the bin it emits
+    for parts in (2 ** k for k in range(1, 9)):
+        h = sylvester(parts)
+        bins_list = (range(1, parts) if parts <= 32
+                     else sorted({1, 2, parts // 2, parts - 1}))
+        for bins in bins_list:
+            for write in (plan_write(parts, bins, 1.0),
+                          plan_passive(parts, bins, 1.0, "write")):
+                report = verify_plan(write)
+                assert np.array_equal(report._rows, h[np.arange(bins) ^ bins])
+                for reversed_ in (False, True):
+                    emitted = np.arange(bins, 0, -1) if reversed_ else np.arange(1, bins + 1)
+                    for read in (plan_read(parts, bins, 1.0, reversed_),
+                                 plan_passive(parts, bins, 1.0, "read", reversed_)):
+                        flips = schedule._flip_masks(read, report._end)[0]
+                        cums = np.multiply.accumulate(flips, axis=0)
+                        assert np.array_equal(cums, -report._rows[emitted - 1])
+
+
+def test_plans_of_1024_parts_peak_below_20_mb():
+    # a 1023 x 1024 int64 mask matrix is 8 MB: the planner's matrix and the
+    # plan's own copy, with no full Sylvester matrix or running products
+    for build in (lambda: plan_write(1024, 1023, 1.0),
+                  lambda: plan_read(1024, 1023, 1.0, time_reversed=True, t0=1024.0)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
+
 def test_passive_verifier_rejects_wrong_pattern():
     plan = plan_passive(4, 3, 1.0, stage="write")
     masks = plan.masks.copy()
@@ -374,6 +411,14 @@ def test_plan_rejects_bins_out_of_range_or_not_whole(bins):
 # differential gate: the key verifier against the dot-kernel verifier
 # ---------------------------------------------------------------------------
 
+def _emission_signs(rows, cums):
+    """Sign with which each row radiates under each running product: entry
+    (i, k) is sign(r . c) for rows[i] and cums[k] where |r . c| = parts,
+    else 0, the row staying subradiant."""
+    dots = rows @ cums.T
+    return np.where(np.abs(dots) == rows.shape[1], np.sign(dots), 0)
+
+
 def _dot_kernel_verify(plan, write_plan=None):
     """The verifier as it was on the dot kernel: rows compared by
     |r . c| = parts in bins x events int64 products, read slots walked one
@@ -394,7 +439,7 @@ def _dot_kernel_verify(plan, write_plan=None):
     if stage == "write":
         if len(rows) != plan.bins:
             violations.append(f"{len(rows)} bins stored, plan declares {plan.bins}")
-        for n in np.flatnonzero(schedule._emission_signs(rows, ones[None])[:, 0]):
+        for n in np.flatnonzero(_emission_signs(rows, ones[None])[:, 0]):
             violations.append(f"bin {n + 1} ends on the superradiant row")
         gram = rows @ rows.T
         for i, j in np.argwhere(np.triu(np.abs(gram) == rows.shape[1], k=1)):
@@ -408,7 +453,7 @@ def _dot_kernel_verify(plan, write_plan=None):
         return report
 
     read_masks, _ = schedule._flip_masks(plan, write_end)
-    hits = schedule._emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
+    hits = _emission_signs(rows, np.multiply.accumulate(read_masks, axis=0))
     live = np.ones(len(rows), dtype=bool)
     order, signs = [], []
     for k, slot in enumerate(hits.T, start=1):
