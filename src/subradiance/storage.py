@@ -197,6 +197,9 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     """Verify and write: the plan's report, the stored amplitudes (bin n at
     index n - 1), the transmitted packet, the input norm and the input's bin
     amplitudes; the store is held to ``until``, by default the grid's end."""
+    if plan.stage.removeprefix("passive_") != "write":
+        raise PlanError(f"write plan has stage {plan.stage!r}, want 'write' or "
+                        "'passive_write'")
     report = _require_ok(verify_plan(plan))
     grid = f_in.grid
     edges = _bin_edges(grid, plan)

@@ -304,6 +304,19 @@ def test_write_rejects_two_events_on_one_node(params):
         simulate_write(f_in, crowded, params)
 
 
+@pytest.mark.parametrize("passive", [False, True])
+def test_write_refuses_a_plan_of_a_read_stage(params, passive):
+    f_in, _, _ = _rect_setup(params)
+    bd = 2.5 * params.tau_R
+    read = (plan_passive(4, 3, bd, "read", t0=bd) if passive
+            else plan_read(4, 3, bd, t0=bd))
+    # the read verifies on its own, so only its stage can refuse it
+    assert verify_plan(read).ok
+    with pytest.raises(PlanError, match=f"write plan has stage '{read.stage}', want "
+                                        "'write' or 'passive_write'"):
+        simulate_write(f_in, read, params)
+
+
 def test_run_path_builds_no_sign_patterns(params, monkeypatch):
     built = []
     check = SignPattern.__post_init__
