@@ -315,23 +315,26 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 # breakpoints.  Shared by the RK4 integrator and the quadrature helpers.
 # ---------------------------------------------------------------------------
 
-def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> set[int]:
-    """Nodes that sit on a breakpoint; each holds the value of the segment
-    it opens, even the last node."""
+def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> dict[int, float]:
+    """Nodes that sit on a breakpoint, in node order, each with its
+    breakpoint's time; each holds the value of the segment it opens, even
+    the last node."""
     k = grid.nodes_of(breakpoints)
-    return set(k[k >= 0].tolist())
+    on = k >= 0
+    times = np.asarray(breakpoints, dtype=float)[on]
+    return dict(sorted(zip(k[on].tolist(), times.tolist())))
 
 
 def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:
     """Node values of ``shape``, right-sided at the breakpoint nodes: those
-    are sampled a nudge to the right, since a node's grid time may round just
-    below its breakpoint."""
-    times = grid.times
+    are sampled a nudge to the right of their breakpoint, which may lie up to
+    1e-6 dt from the node, either side."""
     # a copy unless the shape returns a fresh complex array, as _Pieces does
-    samples = np.asarray(shape(times), dtype=complex)
-    jumps = sorted(_jump_nodes(grid, breakpoints))
+    samples = np.asarray(shape(grid.times), dtype=complex)
+    jumps = _jump_nodes(grid, breakpoints)
     if jumps:
-        samples[jumps] = shape(times[jumps] + _EDGE_NUDGE * grid.dt)
+        nudged = np.array(list(jumps.values())) + _EDGE_NUDGE * grid.dt
+        samples[list(jumps)] = shape(nudged)
     return samples
 
 
@@ -378,17 +381,17 @@ def _cell_values(f: WavePacket):
         v0 = y[:-1].astype(complex)
         v1 = y[1:].astype(complex)
         if jumps:
-            # a nudge inside each step: a node's grid time may round to
-            # either side of its breakpoint
-            k = np.array(sorted(jumps))
+            # a nudge either side of each breakpoint, which may lie up to
+            # 1e-6 dt from its node, either side
+            k, t = np.array(list(jumps)), np.array(list(jumps.values()))
             nudge = _EDGE_NUDGE * grid.dt
-            v0[k[k < n - 1]] = f.shape(times[k[k < n - 1]] + nudge)
-            v1[k[k > 0] - 1] = f.shape(times[k[k > 0]] - nudge)
+            v0[k[k < n - 1]] = f.shape(t[k < n - 1] + nudge)
+            v1[k[k > 0] - 1] = f.shape(t[k > 0] - nudge)
         return v0, vm, v1
     v0 = y[:-1].astype(complex)
     v1 = y[1:].astype(complex)
     vm = np.empty(n - 1, dtype=complex)
-    bounds = sorted(jumps | {0, n - 1})
+    bounds = sorted(set(jumps) | {0, n - 1})
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b in jumps:
             # node b holds the right-sided limit; the run ending at b needs

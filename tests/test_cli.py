@@ -131,6 +131,19 @@ def test_scatter_packet_end_node_is_right_sided(tmp_path, capsys):
     assert rep["output_norm"] == pytest.approx(budget, abs=1e-9)
 
 
+@pytest.mark.parametrize("start", ["0 tau_R", "2.5e-9 tau_R", "4.9e-9 tau_R"])
+def test_scatter_front_just_off_its_node_closes_the_budget(tmp_path, capsys, start):
+    # a start of 2.5e-9 tau_R is 5e-7 dt right of node 0: close enough to be
+    # that node's breakpoint, so the node must take the value right of the
+    # front, not the value a nudge right of the node's own time
+    doc = {"scenario": "scatter", "ensemble": ENSEMBLE,
+           "input": {"duration": "2.5 tau_R", "start": start}}
+    code, out, _ = _run(tmp_path, capsys, doc, "--quiet")
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert abs(rep["output_norm"] + rep["final_excitation"] - rep["input_norm"]) < 1e-11
+
+
 def test_byte_deterministic_output(tmp_path, capsys):
     doc = {"scenario": "store", "ensemble": ENSEMBLE}
     _, out1, _ = _run(tmp_path, capsys, doc)
