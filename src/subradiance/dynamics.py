@@ -382,7 +382,7 @@ def _cell_values(f: WavePacket):
         v1 = y[1:].astype(complex)
         if jumps:
             # a nudge either side of each breakpoint, which may lie up to
-            # 1e-6 dt from its node, either side
+            # 1e-6 dt from its node
             k, t = np.array(list(jumps)), np.array(list(jumps.values()))
             nudge = _EDGE_NUDGE * grid.dt
             v0[k[k < n - 1]] = f.shape(t[k < n - 1] + nudge)
