@@ -402,6 +402,9 @@ def _verify_write(plan: PulsePlan) -> PlanReport:
 
 def _verify_read(plan: PulsePlan, write: PulsePlan, report: PlanReport) -> PlanReport:
     """The read half of ``verify_plan``, on the ``report`` of ``write``."""
+    if plan.stage.removeprefix("passive_") not in ("read", "read_reversed"):
+        return PlanReport(False, (f"read plan has stage {plan.stage!r}, want 'read', "
+                                  "'read_reversed' or a passive form of them",))
     if write.stage.removeprefix("passive_") != "write":
         return PlanReport(False, (f"write plan has stage {write.stage!r}, want "
                                   "'write' or 'passive_write'",))

@@ -250,6 +250,9 @@ def simulate_read(
     samples are built on first read; the read grid's size is checked at
     once.  The caller's ledger is left untouched.
     """
+    if plan.stage.removeprefix("passive_") not in ("read", "read_reversed"):
+        raise PlanError(f"read plan has stage {plan.stage!r}, want 'read', "
+                        "'read_reversed' or a passive form of them")
     report = _require_ok(verify_plan(plan, write_plan))
     if not np.array_equal(ledger._product, report._end):
         raise PlanError("ledger was not written by the read plan's write plan")

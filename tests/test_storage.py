@@ -317,6 +317,26 @@ def test_write_refuses_a_plan_of_a_read_stage(params, passive):
         simulate_write(f_in, read, params)
 
 
+@pytest.mark.parametrize("passive", [False, True])
+def test_read_refuses_a_plan_of_a_write_stage(params, passive):
+    f_in, write, _ = _rect_setup(params)
+    bd = write.bin_duration
+    if passive:
+        write = plan_passive(4, 3, bd, "write")
+        bad = plan_passive(4, 3, bd, "write", t0=write.t_end)
+    else:
+        bad = plan_write(4, 3, bd, t0=write.t_end)
+    # the plan verifies as a write, so only its stage can refuse it
+    assert verify_plan(bad).ok
+    named = (f"read plan has stage '{bad.stage}', want 'read', 'read_reversed' "
+             "or a passive form of them")
+    ledger, _ = simulate_write(f_in, write, params)
+    with pytest.raises(PlanError, match=named):
+        simulate_read(ledger, bad, params, write_plan=write)
+    with pytest.raises(PlanError, match=named):
+        end_to_end(f_in, write, bad, params)
+
+
 def test_run_path_builds_no_sign_patterns(params, monkeypatch):
     built = []
     check = SignPattern.__post_init__
