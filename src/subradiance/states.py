@@ -7,7 +7,8 @@ Two representations are provided:
   polynomial in N and is the production representation.
 * ``FullBasisState`` — the complete 2^N computational basis of individual
   atoms.  Exponential in N (capped at N = 24); kept as an independent
-  brute-force oracle for emission rates.
+  brute-force oracle for emission rates, which lowers only the state's
+  support (its nonzero indices) into one 2^N accumulator.
 
 The spatial phase factors e^{i q r_j} are absorbed into the definition of
 the single-atom excited states, so a 2 pi control pulse acting on a spatial
@@ -24,7 +25,8 @@ In the full basis, bit j of an index marks atom j excited and atoms are
 ordered part by part, so part P owns one contiguous bit mask.  Every
 bit-indexed quantity is one ``np.bitwise_count`` of the index under a mask:
 a part's occupation is popcount(index & part mask), and a sign pattern
-multiplies by (-1)^popcount(index & mask of the minus parts).
+multiplies by (-1)^popcount(index & mask of the minus parts).  Lowering
+atom b takes index i, with bit b set, to i ^ 2^b.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ class PartitionedState:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_values", values)
         norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
+        # written so that a NaN norm fails it too
+        if not abs(norm - 1.0) <= 1e-10:
             raise DomainError(f"state norm {norm} is not 1")
 
     def norm(self) -> float:
@@ -217,7 +220,10 @@ class FullBasisState:
     """State vector over the 2^N single-atom computational basis.
 
     Bit j of a basis index marks atom j excited; atoms are ordered part by
-    part when built from a PartitionedState.
+    part when built from a PartitionedState.  ``amplitudes`` is read as a
+    complex array (no copy of a complex one).  Only the support, the
+    nonzero indices, is visited after the norm check: the excitation number
+    is the popcount of the support indices whose |a| > 1e-12.
     """
 
     n_atoms: int
@@ -226,15 +232,20 @@ class FullBasisState:
     def __post_init__(self):
         if self.n_atoms > MAX_FULL_BASIS_ATOMS:
             raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
-        if len(self.amplitudes) != 2 ** self.n_atoms:
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "amplitudes", amps)
+        if len(amps) != 2 ** self.n_atoms:
             raise DomainError("amplitude vector length must be 2^N")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
+        norm = np.linalg.norm(amps)
+        # written so that a NaN norm fails it too
+        if not abs(norm - 1.0) <= 1e-10:
             raise DomainError(f"state norm {norm} is not 1")
 
     def excitation_number(self) -> int:
-        occ = np.bitwise_count(np.arange(2 ** self.n_atoms))
-        present = np.unique(occ[np.abs(self.amplitudes) > _AMP_TOL])
+        # through a bool mask: nonzero() on complex entries is ~3x slower
+        support = np.flatnonzero(self.amplitudes != 0)
+        big = support[np.abs(self.amplitudes[support]) > _AMP_TOL]
+        present = np.unique(np.bitwise_count(big))
         if len(present) != 1:
             raise DomainError("state does not have a definite excitation number")
         return int(present[0])
@@ -355,15 +366,21 @@ def emission_rate(state, p: EnsembleParams) -> float:
 
 
 def brute_force_rate(state: FullBasisState, p: EnsembleParams) -> float:
-    """Emission rate evaluated in the full 2^N basis (independent oracle)."""
-    n_atoms = state.n_atoms
+    """Emission rate evaluated in the full 2^N basis (independent oracle).
+
+    Only the support of the state is lowered: O(2^N) to find it, then
+    O(support x N) scatters into one 2^N accumulator.
+    """
     state.excitation_number()  # assert definiteness; raises on superpositions
     psi = state.amplitudes
-    lowered = np.zeros_like(psi)
-    for b in range(n_atoms):
-        # lowering atom b maps each index with bit b set to the index without it
-        lowered.reshape(-1, 2, 2 ** b)[:, 0] += psi.reshape(-1, 2, 2 ** b)[:, 1]
-    sq = float(np.sum(np.abs(lowered) ** 2))
+    support = np.flatnonzero(psi != 0)
+    lowered = np.zeros(len(psi), dtype=complex)
+    for b in range(state.n_atoms):
+        # lowering atom b maps each support index i with bit b set to
+        # i ^ 2^b; no two such i share a target, so the indexed += is exact
+        src = support[(support & (1 << b)) != 0]
+        lowered[src ^ (1 << b)] += psi[src]
+    sq = float(np.vdot(lowered, lowered).real)
     return p.mu / p.excited_lifetime * sq
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from subradiance import (DomainError, FullBasisState, Partition,
                          PartitionedState, SignPattern, apply_sign_pattern,
                          brute_force_rate, emission_rate, lower, named_state,
                          symmetric_partitioned, symmetric_state, to_full_basis)
+from subradiance.states import _AMP_TOL
 
 NAMES = ("one_sym", "two_sym", "one_AminusB", "two_AminusB", "two_prime",
          "two_ABCD")
@@ -350,3 +352,86 @@ def test_occupations_outside_a_part_are_refused():
             PartitionedState(part, {occ: 1.0})
     with pytest.raises(DomainError, match="length"):
         PartitionedState(part, {(1,): 1.0})
+
+
+@pytest.mark.parametrize("amps", [{(1, 0): math.nan, (0, 1): 1.0},
+                                  {(1, 0): complex(0.6, math.nan), (0, 1): 0.8}])
+def test_nan_partitioned_amplitudes_are_refused(amps):
+    with pytest.raises(DomainError, match="state norm nan is not 1"):
+        PartitionedState(Partition((2, 2)), amps)
+
+
+@pytest.mark.parametrize("amps", [[0, 1, 0, math.nan], [0, 0.6, 0.8, complex(0, math.nan)]])
+def test_nan_full_basis_amplitudes_are_refused(amps):
+    with pytest.raises(DomainError, match="state norm nan is not 1"):
+        FullBasisState(2, amps)
+
+
+@pytest.mark.parametrize("amps", [[0, 1, 0, 0], (0, 1, 0, 0), [0, 1j, 0, 0]])
+def test_sequence_amplitudes_are_read_as_an_array(params, amps):
+    state = FullBasisState(2, amps)
+    assert state.amplitudes.dtype == complex
+    assert state.excitation_number() == 1
+    assert brute_force_rate(state, params) == _unit(params)
+    # a complex array is kept as it is, not copied
+    embedded = to_full_basis(symmetric_partitioned(1, Partition.equal(4, 2)))
+    assert FullBasisState(4, embedded.amplitudes).amplitudes is embedded.amplitudes
+
+
+# ---------------------------------------------------------------------------
+# the support-only oracle against the dense lowering it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_rate(state, p):
+    """||R psi||^2 by N strided adds over the whole 2^N basis."""
+    psi = state.amplitudes
+    lowered = np.zeros_like(psi)
+    for b in range(state.n_atoms):
+        # lowering atom b maps each index with bit b set to the index without it
+        lowered.reshape(-1, 2, 2 ** b)[:, 0] += psi.reshape(-1, 2, 2 ** b)[:, 1]
+    return p.mu / p.excited_lifetime * float(np.sum(np.abs(lowered) ** 2))
+
+
+def test_oracle_matches_the_dense_lowering(params):
+    rng = np.random.default_rng(2306)
+    for n_atoms in range(1, 15):
+        basis = np.arange(2 ** n_atoms)
+        count = np.bitwise_count(basis)
+        for n in range(n_atoms + 1):
+            shell = np.flatnonzero(count == n)
+            support = rng.choice(shell, size=int(rng.integers(1, len(shell) + 1)),
+                                 replace=False)
+            amps = np.zeros(2 ** n_atoms, dtype=complex)
+            amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+            amps /= np.linalg.norm(amps)
+            # entries under the tolerance, in any shell, do not break the
+            # definite number but are lowered all the same
+            rest = np.setdiff1d(basis, support)
+            tiny = rng.choice(rest, size=min(3, len(rest)), replace=False)
+            amps[tiny] = 0.3 * _AMP_TOL * np.exp(2j * np.pi * rng.random(len(tiny)))
+            kept = amps.copy()
+            state = FullBasisState(n_atoms, amps)
+            got, want = brute_force_rate(state, params), _dense_rate(state, params)
+            assert abs(got - want) <= 1e-12 * want, (n_atoms, n, got, want)
+            assert amps.tobytes() == kept.tobytes()
+
+
+def test_oracle_refuses_a_superposition(params):
+    amps = np.zeros(2 ** 4, dtype=complex)
+    amps[[0b0001, 0b0011]] = 1 / math.sqrt(2)
+    with pytest.raises(DomainError,
+                       match="^state does not have a definite excitation number$"):
+        brute_force_rate(FullBasisState(4, amps), params)
+
+
+def test_oracle_traces_one_accumulator(params):
+    state = to_full_basis(symmetric_partitioned(2, Partition.equal(20, 2)))
+    tracemalloc.start()
+    try:
+        rate = brute_force_rate(state, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rate / _unit(params) == pytest.approx(2 * 19, rel=1e-12)
+    # the 16 MiB complex accumulator; the dense lowering traced 25.1 MiB
+    assert peak < 20 * 2 ** 20
