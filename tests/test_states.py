@@ -433,5 +433,5 @@ def test_oracle_traces_one_accumulator(params):
     finally:
         tracemalloc.stop()
     assert rate / _unit(params) == pytest.approx(2 * 19, rel=1e-12)
-    # the 16 MiB complex accumulator; the dense lowering traced 25.1 MiB
+    # the 16 MiB complex accumulator; the dense lowering traced 24 MiB
     assert peak < 20 * 2 ** 20
