@@ -7,8 +7,10 @@ Two representations are provided:
   polynomial in N and is the production representation.
 * ``FullBasisState`` — the complete 2^N computational basis of individual
   atoms.  Exponential in N (capped at N = 24); kept as an independent
-  brute-force oracle for emission rates, which lowers only the state's
-  support (its nonzero indices) into one 2^N accumulator.
+  brute-force oracle for emission rates.  A state keeps its support (the
+  sorted indices outside which every amplitude is 0, and the amplitudes
+  there), which is all the oracle reads; the package builds states from
+  their support, and their dense 2^N ``amplitudes`` only on first read.
 
 The spatial phase factors e^{i q r_j} are absorbed into the definition of
 the single-atom excited states, so a 2 pi control pulse acting on a spatial
@@ -18,15 +20,15 @@ A partitioned state is a read-only int64 occupation matrix (a row per
 tuple) and an amplitude vector, read once from its ``amplitudes`` dict or
 built with it.  A sign pattern multiplies row r by (-1)^(occ_r . minus) and
 keeps the rows, so a state and its flips share them and their lowering.
-Lowering and ``to_full_basis`` address rows by mixed-radix codes; where a
-float could round a binomial product, or int64 a code, Python ints are used.
+Lowering addresses rows by mixed-radix codes; where a float could round a
+binomial product, or int64 a code, Python ints are used.
 
 In the full basis, bit j of an index marks atom j excited and atoms are
-ordered part by part, so part P owns one contiguous bit mask.  Every
-bit-indexed quantity is one ``np.bitwise_count`` of the index under a mask:
-a part's occupation is popcount(index & part mask), and a sign pattern
-multiplies by (-1)^popcount(index & mask of the minus parts).  Lowering
-atom b takes index i, with bit b set, to i ^ 2^b.
+ordered part by part, so part P owns one contiguous bit mask.  A row
+(n_A, n_B, ...) embeds at every index whose bits in part P are one of the
+N_P-bit patterns with n_P bits set, so no basis index outside the support
+is visited.  A sign pattern multiplies by (-1)^popcount(index & mask of the
+minus parts), and lowering atom b takes index i, with bit b set, to i ^ 2^b.
 """
 
 from __future__ import annotations
@@ -61,12 +63,19 @@ MAX_FULL_BASIS_ATOMS = 24
 
 _AMP_TOL = 1e-12
 
-# Multisets of parts counted into occupation rows at a time.
+# Multisets of parts counted into occupation rows, or cells of full-basis
+# digits (indices x parts) found, at a time.
 _BLOCK = 1 << 16
 
 
 def _is_int_type(t: type) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _require_unit_norm(norm: float):
+    # written so that a NaN norm fails it too
+    if not abs(norm - 1.0) <= 1e-10:
+        raise DomainError(f"state norm {norm} is not 1")
 
 
 @dataclass(frozen=True)
@@ -200,10 +209,7 @@ class PartitionedState:
         values.flags.writeable = False
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_values", values)
-        norm = self.norm()
-        # written so that a NaN norm fails it too
-        if not abs(norm - 1.0) <= 1e-10:
-            raise DomainError(f"state norm {norm} is not 1")
+        _require_unit_norm(self.norm())
 
     def norm(self) -> float:
         return math.sqrt(abs(np.vdot(self._values, self._values)))
@@ -221,13 +227,18 @@ class FullBasisState:
 
     Bit j of a basis index marks atom j excited; atoms are ordered part by
     part when built from a PartitionedState.  ``amplitudes`` is read as a
-    complex array (no copy of a complex one).  Only the support, the
-    nonzero indices, is visited after the norm check: the excitation number
-    is the popcount of the support indices whose |a| > 1e-12.
+    complex array (no copy of a complex one), once: the state keeps its
+    support, the sorted int64 indices outside which every amplitude is 0
+    and the amplitudes there, found by one scan when first needed.  States
+    the package builds (``to_full_basis``, ``symmetric_state`` and sign
+    flips) start from their support and build the read-only ``amplitudes``
+    on first read, then keep them.  The repr names N only, so printing a
+    state builds nothing.  The excitation number is the popcount of the
+    support indices whose |a| > 1e-12.
     """
 
     n_atoms: int
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n_atoms > MAX_FULL_BASIS_ATOMS:
@@ -236,16 +247,38 @@ class FullBasisState:
         object.__setattr__(self, "amplitudes", amps)
         if len(amps) != 2 ** self.n_atoms:
             raise DomainError("amplitude vector length must be 2^N")
-        norm = np.linalg.norm(amps)
-        # written so that a NaN norm fails it too
-        if not abs(norm - 1.0) <= 1e-10:
-            raise DomainError(f"state norm {norm} is not 1")
+        _require_unit_norm(np.linalg.norm(amps))
+
+    @classmethod
+    def _of(cls, n_atoms: int, index: np.ndarray, values: np.ndarray) -> "FullBasisState":
+        """The state with ``values`` at the sorted ``index`` and 0 elsewhere."""
+        index.flags.writeable = values.flags.writeable = False
+        _require_unit_norm(math.sqrt(np.vdot(values, values).real))
+        state = object.__new__(cls)
+        state.__dict__.update(n_atoms=n_atoms, _support=(index, values))
+        return state
+
+    def __getattr__(self, name):
+        # only reached while the amplitudes of a state made by _of are unset
+        if name != "amplitudes" or "_support" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        index, values = self._support
+        amps = np.zeros(2 ** self.n_atoms, dtype=complex)
+        amps[index] = values
+        amps.flags.writeable = False
+        return self.__dict__.setdefault("amplitudes", amps)
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        # through a bool mask: nonzero() on complex entries is ~3x slower
+        index = np.flatnonzero(self.amplitudes != 0)
+        values = self.amplitudes[index]
+        index.flags.writeable = values.flags.writeable = False
+        return index, values
 
     def excitation_number(self) -> int:
-        # through a bool mask: nonzero() on complex entries is ~3x slower
-        support = np.flatnonzero(self.amplitudes != 0)
-        big = support[np.abs(self.amplitudes[support]) > _AMP_TOL]
-        present = np.unique(np.bitwise_count(big))
+        index, values = self._support
+        present = np.unique(np.bitwise_count(index[np.abs(values) > _AMP_TOL]))
         if len(present) != 1:
             raise DomainError("state does not have a definite excitation number")
         return int(present[0])
@@ -262,10 +295,12 @@ def symmetric_state(n: int, n_atoms: int) -> FullBasisState:
     """Symmetric Dicke state |n> over N atoms in the full basis."""
     if not 0 <= n <= n_atoms:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
-    occ = np.bitwise_count(np.arange(2 ** n_atoms))
-    amps = np.zeros(2 ** n_atoms, dtype=complex)
-    amps[occ == n] = 1.0 / math.sqrt(math.comb(n_atoms, n))
-    return FullBasisState(n_atoms, amps)
+    if n_atoms > MAX_FULL_BASIS_ATOMS:
+        raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+    index = _bit_patterns(n_atoms, n)
+    return FullBasisState._of(n_atoms, index,
+                              np.full(len(index), 1.0 / math.sqrt(math.comb(n_atoms, n)),
+                                      dtype=complex))
 
 
 def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
@@ -319,9 +354,9 @@ def apply_sign_pattern(state, pattern: SignPattern, partition: Partition | None 
         if len(pattern) != partition.n_parts or partition.n_atoms != state.n_atoms:
             raise DomainError("pattern/partition do not match the state")
         minus = sum(m for m, s in zip(_part_masks(partition), pattern.signs) if s < 0)
-        idx = np.arange(2 ** state.n_atoms, dtype=np.int64)
-        phase = np.where(np.bitwise_count(idx & minus) & 1, -1.0, 1.0)
-        return FullBasisState(state.n_atoms, state.amplitudes * phase)
+        index, values = state._support
+        phase = np.where(np.bitwise_count(index & minus) & 1, -1.0, 1.0)
+        return FullBasisState._of(state.n_atoms, index, values * phase)
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -368,48 +403,86 @@ def emission_rate(state, p: EnsembleParams) -> float:
 def brute_force_rate(state: FullBasisState, p: EnsembleParams) -> float:
     """Emission rate evaluated in the full 2^N basis (independent oracle).
 
-    Only the support of the state is lowered: O(2^N) to find it, then
-    O(support x N) scatters into one 2^N accumulator.
+    Only the support of the state is lowered: O(support x N) scatters into
+    one 2^N accumulator.
     """
     state.excitation_number()  # assert definiteness; raises on superpositions
-    psi = state.amplitudes
-    support = np.flatnonzero(psi != 0)
-    lowered = np.zeros(len(psi), dtype=complex)
+    support, values = state._support
+    lowered = np.zeros(2 ** state.n_atoms, dtype=complex)
     for b in range(state.n_atoms):
         # lowering atom b maps each support index i with bit b set to
         # i ^ 2^b; no two such i share a target, so the indexed += is exact
-        src = support[(support & (1 << b)) != 0]
-        lowered[src ^ (1 << b)] += psi[src]
+        excited = (support & (1 << b)) != 0
+        lowered[support[excited] ^ (1 << b)] += values[excited]
     sq = float(np.vdot(lowered, lowered).real)
     return p.mu / p.excited_lifetime * sq
+
+
+def _bit_patterns(m: int, k: int) -> np.ndarray:
+    """The m-bit integers with k bits set, ascending.  Those with c set are,
+    over their top bit t in ascending order, 2^t plus the t-bit ones with
+    c - 1 set: the first C(t, c - 1) of the m-bit ones.  Past k = m / 2 they
+    are the complements of those with m - k set, reversed, so no step holds
+    more than C(m, k) patterns."""
+    if 2 * k > m:
+        return ((1 << m) - 1 - _bit_patterns(m, m - k))[::-1]
+    out = np.zeros(1, dtype=np.int64)
+    for c in range(1, k + 1):
+        size = np.array([math.comb(t, c - 1) for t in range(c - 1, m)])
+        out = (out[np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)]
+               + np.repeat(1 << np.arange(c - 1, m), size))
+    return out
 
 
 def to_full_basis(state: PartitionedState) -> FullBasisState:
     """Embed a partitioned state in the full basis (atoms ordered by part).
 
-    Each basis index gets the mixed-radix code sum_P n_P prod_{Q<P} (N_Q + 1)
-    of its part occupations n_P, and takes its amplitude a / sqrt(weight)
-    from a table over the prod_P (N_P + 1) <= 2^N compositions.  Part P owns
-    the next N_P bits up, so the codes are an outer sum over the parts of
-    n_P's radix times the bit counts of 0 .. 2^N_P - 1.
+    Row (n_A, n_B, ...) with amplitude a and weight w = prod_P C(N_P, n_P)
+    puts a / sqrt(w) at each of its w indices: part P's bits hold one of
+    the C(N_P, n_P) patterns with n_P bits set.  The i-th index of a row
+    takes the mixed-radix digits of i, part A's the fastest, as ascending
+    patterns, so a row's indices ascend and one sort orders the support.
+    Digits are found for a block of indices at a time.
     """
     sizes = state.partition.part_sizes
     n_atoms = state.partition.n_atoms
     if n_atoms > MAX_FULL_BASIS_ATOMS:
         raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
-    radix = [math.prod(s + 1 for s in sizes[:p]) for p in range(len(sizes))]
-    code = np.zeros(1, dtype=np.int64)
-    for size, r in zip(sizes, radix):
-        own = r * np.bitwise_count(np.arange(2 ** size)).astype(np.int64)
-        code = (own[:, None] + code).ravel()
     occ, values = state._rows.matrix, state._values
+    parts, top = np.arange(len(sizes)), int(occ.max())
+    # part P holds k in ways[P, k] = C(N_P, k) patterns
+    ways = np.array([[math.comb(s, k) for k in range(top + 1)] for s in sizes])
+    count = np.multiply.reduce(ways[parts, occ], axis=1)
     # a weight is below 2^N; a / sqrt(weight) divides a's parts apart
-    root = np.sqrt(_comb_products(occ, sizes, max(sizes), 2 ** n_atoms))
-    at = occ @ np.array(radix)
-    table = np.zeros(math.prod(s + 1 for s in sizes), dtype=complex)
-    table.real[at] = values.real / root
-    table.imag[at] = values.imag / root
-    return FullBasisState(n_atoms, table[code])
+    root = np.sqrt(count)
+    amps = np.empty(len(occ), dtype=complex)
+    amps.real, amps.imag = values.real / root, values.imag / root
+    # one table of the patterns of each kind (N_P, k) that a row holds,
+    # block after block; part P holding k reads its kind's block from at[P, k]
+    held = np.zeros(ways.shape, dtype=bool)
+    held[parts, occ] = True
+    keys = [(sizes[p], k) for p, k in np.argwhere(held).tolist()]
+    kinds = list(dict.fromkeys(keys))
+    table = np.concatenate([_bit_patterns(*kind) for kind in kinds])
+    begin = dict(zip(kinds, itertools.accumulate((math.comb(*kind) for kind in kinds),
+                                                 initial=0)))
+    at = np.zeros(ways.shape, dtype=np.int64)
+    at[held] = [begin[key] for key in keys]
+    shift = np.array(list(itertools.accumulate(sizes[:-1], initial=0)))
+    row = np.repeat(np.arange(len(occ)), count)
+    rank = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    index = np.empty(len(row), dtype=np.int64)
+    step = max(1, _BLOCK // len(sizes))
+    for lo in range(0, len(row), step):
+        # the i-th index of row r holds, in part P, pattern number
+        # (i // prod_{Q<P} radix[r, Q]) % radix[r, P] of its block
+        n_p = occ[row[lo:lo + step]]
+        radix = ways[parts, n_p]
+        below = np.multiply.accumulate(radix, axis=1) // radix
+        digit = rank[lo:lo + step, None] // below % radix
+        index[lo:lo + step] = (table[at[parts, n_p] + digit] << shift).sum(axis=1)
+    order = np.argsort(index)
+    return FullBasisState._of(n_atoms, index[order], amps[row[order]])
 
 
 def _two_part(n_atoms: int) -> Partition:

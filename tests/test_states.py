@@ -435,3 +435,128 @@ def test_oracle_traces_one_accumulator(params):
     assert rate / _unit(params) == pytest.approx(2 * 19, rel=1e-12)
     # the 16 MiB complex accumulator; the dense lowering traced 24 MiB
     assert peak < 20 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# full-basis states held as their support
+# ---------------------------------------------------------------------------
+
+def _dense_embedding(state):
+    """The dense construction that to_full_basis replaced: a mixed-radix code
+    for each of the 2^N indices, gathered from a table over compositions."""
+    sizes = state.partition.part_sizes
+    radix = [math.prod(s + 1 for s in sizes[:p]) for p in range(len(sizes))]
+    code = np.zeros(1, dtype=np.int64)
+    for size, r in zip(sizes, radix):
+        own = r * np.bitwise_count(np.arange(2 ** size)).astype(np.int64)
+        code = (own[:, None] + code).ravel()
+    occ = np.array(list(state.amplitudes), dtype=np.int64).reshape(-1, len(sizes))
+    values = np.array(list(state.amplitudes.values()))
+    root = np.sqrt(np.array([math.prod(map(math.comb, sizes, row)) for row in occ.tolist()],
+                            dtype=float))
+    at = occ @ np.array(radix)
+    table = np.zeros(math.prod(s + 1 for s in sizes), dtype=complex)
+    table.real[at] = values.real / root
+    table.imag[at] = values.imag / root
+    return table[code]
+
+
+def _seeded_states(seed, sizes_list, ns=None):
+    """Seeded complex states over each partition and excitation number,
+    flipped by a seeded sign pattern; one row of each is 0 before the flip,
+    so that it may end as -0."""
+    rng = np.random.default_rng(seed)
+    for sizes in sizes_list:
+        part = Partition(sizes)
+        for n in ns or range(part.n_atoms + 1):
+            keys = list(symmetric_partitioned(n, part).amplitudes)
+            raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+            if len(keys) > 1:
+                raw[rng.integers(len(keys))] = 0
+            raw /= np.linalg.norm(raw)
+            state = PartitionedState(part, dict(zip(keys, raw.tolist())))
+            signs = SignPattern(tuple(int(s) for s in rng.choice([-1, 1], size=len(sizes))))
+            yield part, apply_sign_pattern(state, signs)
+
+
+SUPPORT_PARTITIONS = [(3, 1, 2, 2), (5, 3), (1,) * 6, (2, 5, 1, 4, 1), (7,), (1, 9, 2)]
+
+
+def test_embedding_matches_the_dense_table_byte_for_byte():
+    states = itertools.chain(_seeded_states(11, SUPPORT_PARTITIONS),
+                             _seeded_states(12, [(6, 4, 3, 7), (20,)], ns=(0, 1, 2, 10, 19, 20)))
+    for part, state in states:
+        got = to_full_basis(state)
+        want = _dense_embedding(state)
+        assert got.amplitudes.tobytes() == want.tobytes(), (part, state.amplitudes)
+        index, values = got._support
+        assert np.all(np.diff(index) > 0)
+        assert np.array_equal(np.flatnonzero(want != 0), index[values != 0])
+
+
+def test_support_state_rates_as_its_dense_copy(params):
+    for part, state in _seeded_states(13, SUPPORT_PARTITIONS):
+        lazy = to_full_basis(state)
+        rate = brute_force_rate(lazy, params)
+        assert "amplitudes" not in lazy.__dict__
+        dense = FullBasisState(part.n_atoms, lazy.amplitudes.copy())
+        assert repr(rate) == repr(brute_force_rate(dense, params)), (part, state.amplitudes)
+        # a dense state finds its support once, for both of its readers
+        support = dense._support
+        assert dense.excitation_number() == sum(next(iter(state.amplitudes)))
+        assert dense._support is support
+
+
+def test_sign_flip_reads_the_support_only():
+    for part, state in _seeded_states(14, SUPPORT_PARTITIONS[:4]):
+        pattern = SignPattern(tuple((-1) ** (i % 3 == 1) for i in range(part.n_parts)))
+        for full in (to_full_basis(state),
+                     FullBasisState(part.n_atoms, to_full_basis(state).amplitudes.copy())):
+            flipped = apply_sign_pattern(full, pattern, partition=part)
+            assert flipped._support[0] is full._support[0]
+            # the dense flip it replaced, which also wrote -0 off the support
+            owner = [p for p, s in enumerate(part.part_sizes) for _ in range(s)]
+            minus = sum(1 << atom for atom, p in enumerate(owner) if pattern.signs[p] < 0)
+            phase = np.where(np.bitwise_count(np.arange(2 ** part.n_atoms) & minus) & 1,
+                             -1.0, 1.0)
+            want = full.amplitudes * phase
+            on = np.zeros(len(want), dtype=bool)
+            on[full._support[0]] = True
+            assert flipped.amplitudes.tobytes() == np.where(on, want, 0).tobytes()
+
+
+def test_symmetric_state_matches_the_dense_formula():
+    for n_atoms in range(13):
+        count = np.bitwise_count(np.arange(2 ** n_atoms))
+        for n in range(n_atoms + 1):
+            want = np.zeros(2 ** n_atoms, dtype=complex)
+            want[count == n] = 1.0 / math.sqrt(math.comb(n_atoms, n))
+            assert symmetric_state(n, n_atoms).amplitudes.tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="capped"):
+        symmetric_state(2, 40)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_traces_its_support_only():
+    state = apply_sign_pattern(symmetric_partitioned(2, Partition.equal(20, 2)),
+                               SignPattern((1, -1)))
+    full, peak = _traced_peak(lambda: to_full_basis(state))
+    assert len(full._support[0]) == math.comb(20, 2)
+    # the dense code table and vector traced about 24 MiB
+    assert peak < 2 ** 20
+
+
+def test_printing_a_state_builds_no_vector():
+    state = to_full_basis(symmetric_partitioned(2, Partition.equal(20, 2)))
+    text, peak = _traced_peak(lambda: repr(state))
+    assert text == "FullBasisState(n_atoms=20)"
+    assert peak < 2 ** 20
+    assert "amplitudes" not in state.__dict__
