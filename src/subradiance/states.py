@@ -414,7 +414,10 @@ def brute_force_rate(state: FullBasisState, p: EnsembleParams) -> float:
         # i ^ 2^b; no two such i share a target, so the indexed += is exact
         excited = (support & (1 << b)) != 0
         lowered[support[excited] ^ (1 << b)] += values[excited]
-    sq = float(np.vdot(lowered, lowered).real)
+    # a sum of squares outside BLAS, whose threads would split the sum by
+    # their count; the float view allocates nothing
+    x = lowered.view(float)
+    sq = float(np.einsum("i,i->", x, x))
     return p.mu / p.excited_lifetime * sq
 
 

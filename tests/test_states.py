@@ -1,7 +1,12 @@
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,3 +565,24 @@ def test_printing_a_state_builds_no_vector():
     assert text == "FullBasisState(n_atoms=20)"
     assert peak < 2 ** 20
     assert "amplitudes" not in state.__dict__
+
+
+def test_oracle_rate_does_not_depend_on_the_blas_thread_count(crystal_input):
+    # a BLAS dot product splits a long sum between its threads, which moves
+    # the last bits: in units of mu / T1 this rate read 132.0000000001752 on
+    # one thread and 132.0000000001095 on more
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import json, sys\n"
+            "from subradiance import (EnsembleInput, Partition, brute_force_rate,\n"
+            "                         derive_params, symmetric_partitioned, to_full_basis)\n"
+            "p = derive_params(EnsembleInput(**json.loads(sys.argv[1])))\n"
+            "state = to_full_basis(symmetric_partitioned(11, Partition.equal(22, 2)))\n"
+            "print(repr(brute_force_rate(state, p)))\n")
+    rates = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, "-c", code, json.dumps(vars(crystal_input))], env=env,
+                             capture_output=True, text=True, check=True)
+        rates.append(run.stdout.strip())
+    assert rates[0] == rates[1]
