@@ -297,10 +297,9 @@ def symmetric_state(n: int, n_atoms: int) -> FullBasisState:
         raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
     if n_atoms > MAX_FULL_BASIS_ATOMS:
         raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+    amp = 1.0 / math.sqrt(math.comb(n_atoms, n))
     index = _bit_patterns(n_atoms, n)
-    return FullBasisState._of(n_atoms, index,
-                              np.full(len(index), 1.0 / math.sqrt(math.comb(n_atoms, n)),
-                                      dtype=complex))
+    return FullBasisState._of(n_atoms, index, np.full(len(index), amp, dtype=complex))
 
 
 def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
