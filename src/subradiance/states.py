@@ -7,10 +7,12 @@ Two representations are provided:
   polynomial in N and is the production representation.
 * ``FullBasisState`` — the complete 2^N computational basis of individual
   atoms.  Exponential in N (capped at N = 24); kept as an independent
-  brute-force oracle for emission rates.  A state keeps its support (the
+  brute-force oracle for emission rates.  A state is its support (the
   sorted indices outside which every amplitude is 0, and the amplitudes
-  there), which is all the oracle reads; the package builds states from
-  their support, and their dense 2^N ``amplitudes`` only on first read.
+  there), set and checked on construction, and that is all the oracle
+  reads.  A dense vector given to the constructor is scanned once for it;
+  the package builds states from their support, and their dense 2^N
+  ``amplitudes`` only on first read.
 
 The spatial phase factors e^{i q r_j} are absorbed into the definition of
 the single-atom excited states, so a 2 pi control pulse acting on a spatial
@@ -76,6 +78,16 @@ def _require_unit_norm(norm: float):
     # written so that a NaN norm fails it too
     if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"state norm {norm} is not 1")
+
+
+def _require_atom_count(n_atoms: int):
+    if n_atoms > MAX_FULL_BASIS_ATOMS:
+        raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+
+
+def _require_excitation_number(n: int, n_atoms: int):
+    if not 0 <= n <= n_atoms:
+        raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
 
 
 @dataclass(frozen=True)
@@ -226,55 +238,54 @@ class FullBasisState:
     """State vector over the 2^N single-atom computational basis.
 
     Bit j of a basis index marks atom j excited; atoms are ordered part by
-    part when built from a PartitionedState.  ``amplitudes`` is read as a
-    complex array (no copy of a complex one), once: the state keeps its
-    support, the sorted int64 indices outside which every amplitude is 0
-    and the amplitudes there, found by one scan when first needed.  States
-    the package builds (``to_full_basis``, ``symmetric_state`` and sign
-    flips) start from their support and build the read-only ``amplitudes``
-    on first read, then keep them.  The repr names N only, so printing a
-    state builds nothing.  The excitation number is the popcount of the
-    support indices whose |a| > 1e-12.
+    part when built from a PartitionedState.  A state is its support: the
+    sorted int64 indices outside which every amplitude is 0, and the
+    amplitudes there, both read-only, set and checked on construction.
+    ``amplitudes`` is read as a complex array (no copy of a complex one),
+    once, by one scan for its support; the support holds copies, so a later
+    change to that array is not seen.  States the package builds
+    (``to_full_basis``, ``symmetric_state`` and sign flips) start from their
+    support and build the read-only ``amplitudes`` on first read, then keep
+    them.  The repr names N only, so printing a state builds nothing.  The
+    excitation number is the popcount of the support indices whose
+    |a| > 1e-12.
     """
 
     n_atoms: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_atoms > MAX_FULL_BASIS_ATOMS:
-            raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+        _require_atom_count(self.n_atoms)
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if len(amps) != 2 ** self.n_atoms:
             raise DomainError("amplitude vector length must be 2^N")
-        _require_unit_norm(np.linalg.norm(amps))
+        # through a bool mask: nonzero() on complex entries is ~3x slower
+        index = np.flatnonzero(amps != 0)
+        self._set(index, amps[index])
 
     @classmethod
     def _of(cls, n_atoms: int, index: np.ndarray, values: np.ndarray) -> "FullBasisState":
         """The state with ``values`` at the sorted ``index`` and 0 elsewhere."""
-        index.flags.writeable = values.flags.writeable = False
-        _require_unit_norm(math.sqrt(np.vdot(values, values).real))
         state = object.__new__(cls)
-        state.__dict__.update(n_atoms=n_atoms, _support=(index, values))
+        object.__setattr__(state, "n_atoms", n_atoms)
+        state._set(index, values)
         return state
+
+    def _set(self, index: np.ndarray, values: np.ndarray):
+        index.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "_support", (index, values))
+        _require_unit_norm(math.sqrt(np.vdot(values, values).real))
 
     def __getattr__(self, name):
         # only reached while the amplitudes of a state made by _of are unset
-        if name != "amplitudes" or "_support" not in self.__dict__:
+        if name != "amplitudes":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         index, values = self._support
         amps = np.zeros(2 ** self.n_atoms, dtype=complex)
         amps[index] = values
         amps.flags.writeable = False
         return self.__dict__.setdefault("amplitudes", amps)
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        # through a bool mask: nonzero() on complex entries is ~3x slower
-        index = np.flatnonzero(self.amplitudes != 0)
-        values = self.amplitudes[index]
-        index.flags.writeable = values.flags.writeable = False
-        return index, values
 
     def excitation_number(self) -> int:
         index, values = self._support
@@ -293,10 +304,8 @@ def _part_masks(partition: Partition) -> list[int]:
 
 def symmetric_state(n: int, n_atoms: int) -> FullBasisState:
     """Symmetric Dicke state |n> over N atoms in the full basis."""
-    if not 0 <= n <= n_atoms:
-        raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
-    if n_atoms > MAX_FULL_BASIS_ATOMS:
-        raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+    _require_atom_count(n_atoms)
+    _require_excitation_number(n, n_atoms)
     amp = 1.0 / math.sqrt(math.comb(n_atoms, n))
     index = _bit_patterns(n_atoms, n)
     return FullBasisState._of(n_atoms, index, np.full(len(index), amp, dtype=complex))
@@ -312,8 +321,7 @@ def symmetric_partitioned(n: int, partition: Partition) -> PartitionedState:
     """
     sizes = partition.part_sizes
     n_atoms = partition.n_atoms
-    if not 0 <= n <= n_atoms:
-        raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
+    _require_excitation_number(n, n_atoms)
     parts, caps = len(sizes), [min(s, n) for s in sizes]
     multisets = itertools.combinations_with_replacement(range(parts), n)
     candidates = math.comb(parts + n - 1, n)
@@ -448,8 +456,7 @@ def to_full_basis(state: PartitionedState) -> FullBasisState:
     """
     sizes = state.partition.part_sizes
     n_atoms = state.partition.n_atoms
-    if n_atoms > MAX_FULL_BASIS_ATOMS:
-        raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+    _require_atom_count(n_atoms)
     occ, values = state._rows.matrix, state._values
     parts, top = np.arange(len(sizes)), int(occ.max())
     # part P holds k in ways[P, k] = C(N_P, k) patterns

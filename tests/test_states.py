@@ -506,10 +506,30 @@ def test_support_state_rates_as_its_dense_copy(params):
         assert "amplitudes" not in lazy.__dict__
         dense = FullBasisState(part.n_atoms, lazy.amplitudes.copy())
         assert repr(rate) == repr(brute_force_rate(dense, params)), (part, state.amplitudes)
-        # a dense state finds its support once, for both of its readers
+        # a dense state has its support from construction, and both of its
+        # readers share it
         support = dense._support
         assert dense.excitation_number() == sum(next(iter(state.amplitudes)))
         assert dense._support is support
+
+
+def test_dense_state_takes_its_support_on_construction():
+    rng = np.random.default_rng(25)
+    amps = np.zeros(2 ** 10, dtype=complex)
+    on = rng.choice(2 ** 10, size=40, replace=False)
+    amps[on] = rng.normal(size=40) + 1j * rng.normal(size=40)
+    # a zero of either sign is off the support
+    amps[on[:3]] = [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+    amps /= np.linalg.norm(amps)
+    state = FullBasisState(10, amps)
+    assert "_support" in state.__dict__
+    index, values = state._support
+    assert index.tobytes() == np.flatnonzero(amps != 0).tobytes()
+    assert values.tobytes() == amps[index].tobytes()
+    assert len(index) == 37
+    assert not index.flags.writeable and not values.flags.writeable
+    # the caller's complex array is kept, not copied
+    assert state.amplitudes is amps
 
 
 def test_sign_flip_reads_the_support_only():
