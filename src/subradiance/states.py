@@ -80,9 +80,10 @@ def _require_unit_norm(norm: float):
         raise DomainError(f"state norm {norm} is not 1")
 
 
-def _require_atom_count(n_atoms: int):
-    if n_atoms > MAX_FULL_BASIS_ATOMS:
-        raise DomainError(f"full basis capped at N = {MAX_FULL_BASIS_ATOMS}")
+def _require_atom_count(n_atoms):
+    if not (_is_int_type(type(n_atoms)) and 0 <= n_atoms <= MAX_FULL_BASIS_ATOMS):
+        raise DomainError(f"atom count {n_atoms!r} must be an integer in "
+                          f"0..{MAX_FULL_BASIS_ATOMS}, where the full basis is capped")
 
 
 def _require_excitation_number(n: int, n_atoms: int):

@@ -170,6 +170,20 @@ def test_full_basis_cap():
         FullBasisState(25, np.zeros(2 ** 25))
 
 
+@pytest.mark.parametrize("build", [lambda: FullBasisState(2.0, [0, 1, 0, 0]),
+                                   lambda: FullBasisState(True, [0, 1]),
+                                   lambda: FullBasisState(-1, [1.0]),
+                                   lambda: symmetric_state(1, 2.0),
+                                   lambda: symmetric_state(0, -1)],
+                         ids=["float", "bool", "negative", "symmetric-float",
+                              "symmetric-negative"])
+def test_atom_count_must_be_a_non_negative_integer(build):
+    # a float count passed the 2^N length check and failed later in the
+    # oracle with a TypeError; a negative one was refused for its length
+    with pytest.raises(DomainError, match=r"^atom count (2\.0|True|-1) must be"):
+        build()
+
+
 def test_bad_inputs():
     with pytest.raises(DomainError):
         Partition((0, 2))
