@@ -86,9 +86,9 @@ def _require_atom_count(n_atoms):
                           f"0..{MAX_FULL_BASIS_ATOMS}, where the full basis is capped")
 
 
-def _require_excitation_number(n: int, n_atoms: int):
-    if not 0 <= n <= n_atoms:
-        raise DomainError(f"excitation number {n} outside 0..{n_atoms}")
+def _require_excitation_number(n, n_atoms: int):
+    if not (_is_int_type(type(n)) and 0 <= n <= n_atoms):
+        raise DomainError(f"excitation number {n!r} must be an integer in 0..{n_atoms}")
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,26 @@ def test_atom_count_must_be_a_non_negative_integer(build):
         build()
 
 
+@pytest.mark.parametrize("build", [lambda: symmetric_state(1.0, 4),
+                                   lambda: symmetric_state(True, 4),
+                                   lambda: symmetric_partitioned(1.0, Partition((2, 2))),
+                                   lambda: symmetric_partitioned(True, Partition((2, 2)))],
+                         ids=["symmetric-float", "symmetric-bool", "partitioned-float",
+                              "partitioned-bool"])
+def test_excitation_number_must_be_an_integer(build):
+    with pytest.raises(DomainError, match=r"^excitation number (1\.0|True) must be"):
+        build()
+
+
+@pytest.mark.parametrize("n", [-1, 5])
+def test_excitation_number_outside_the_atom_count_is_refused(n):
+    for build in (lambda: symmetric_state(n, 4),
+                  lambda: symmetric_partitioned(n, Partition((2, 2)))):
+        with pytest.raises(DomainError, match=rf"^excitation number {n} must be an integer "
+                                              r"in 0\.\.4$"):
+            build()
+
+
 def test_bad_inputs():
     with pytest.raises(DomainError):
         Partition((0, 2))
