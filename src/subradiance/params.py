@@ -107,11 +107,16 @@ class EnsembleParams:
     t2_star: float | None = None
 
 
+def _mu(wavelength: float, area: float) -> float:
+    """The geometrical factor mu = 3 lambda^2 / (8 pi S)."""
+    return 3.0 * wavelength**2 / (8.0 * math.pi * area)
+
+
 def derive_params(inp: EnsembleInput) -> EnsembleParams:
     """Compute the derived ensemble parameters from raw inputs."""
     s = inp.area
     n = inp.n_atoms
-    mu = 3.0 * inp.wavelength**2 / (8.0 * math.pi * s)
+    mu = _mu(inp.wavelength, s)
     tau_e = inp.sample_length / C_LIGHT
     tau_r = inp.excited_lifetime / (n * mu)
     tau_c = math.sqrt(tau_r * tau_e)
@@ -206,6 +211,6 @@ def density_for_tau_r(inp: EnsembleInput, target_tau_r: float) -> float:
     if not target_tau_r > 0:
         raise DomainError("target_tau_r must be strictly positive")
     s = inp.area
-    mu = 3.0 * inp.wavelength**2 / (8.0 * math.pi * s)
+    mu = _mu(inp.wavelength, s)
     n = inp.excited_lifetime / (target_tau_r * mu)
     return n / (s * inp.sample_length)
