@@ -154,12 +154,18 @@ _KEYS = {block: {key for name, f in table.items()
          for block, table in _FIELDS.items()}
 
 
-def _read(cfg: dict, block: str, p=None) -> dict:
-    """The checked, defaulted fields of config block ``block`` ("" is the
-    root); a ConfigError names the first unknown or bad field."""
+def _block(cfg: dict, block: str) -> dict:
+    """Config block ``block`` ("" is the root), {} where it is absent."""
     blk = cfg.get(block, {}) if block else cfg
     if not isinstance(blk, dict):
         raise ConfigError(f"'{block}' must be a JSON object, got {blk!r}")
+    return blk
+
+
+def _read(cfg: dict, block: str, p=None) -> dict:
+    """The checked, defaulted fields of config block ``block`` ("" is the
+    root); a ConfigError names the first unknown or bad field."""
+    blk = _block(cfg, block)
     prefix = block + "." if block else ""
     unknown = set(blk) - _KEYS[block] - (set() if block else {"scenario", *_FIELDS})
     if unknown:
@@ -401,9 +407,7 @@ def _apply_sweep(cfg: dict, spec: str) -> list[tuple[float, dict]]:
         raise ConfigError(f"bad sweep spec: {exc}") from exc
     if not vals or not all(map(math.isfinite, vals)):
         raise ConfigError(f"bad sweep spec: want finite values, got {values!r}")
-    node = cfg.get(block, {}) if block else cfg
-    if not isinstance(node, dict):
-        raise ConfigError(f"'{block}' must be a JSON object, got {node!r}")
+    node = _block(cfg, block)
     return [(v, {**cfg, block: {**node, key: v}} if block else {**cfg, key: v})
             for v in vals]
 

@@ -473,6 +473,14 @@ def test_bad_sweeps_exit_2(tmp_path, capsys, sweep, named):
     assert code == 2 and out == "" and named in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--sweep", "schedule.parts=4")])
+def test_a_block_that_is_not_an_object_exits_2(tmp_path, capsys, extra):
+    # read as a block, or swept, the config block is checked the same way
+    code, out, err = _run(tmp_path, capsys, dict(STORE, schedule=[4]), "--quiet", *extra)
+    assert code == 2 and out == ""
+    assert "'schedule' must be a JSON object, got [4]" in err
+
+
 def test_non_finite_report_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._SCENARIOS, "params",
                         lambda cfg, root, p: ({"x": math.inf}, [], None))
