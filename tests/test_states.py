@@ -178,8 +178,8 @@ def test_full_basis_cap():
                          ids=["float", "bool", "negative", "symmetric-float",
                               "symmetric-negative"])
 def test_atom_count_must_be_a_non_negative_integer(build):
-    # a float count passed the 2^N length check and failed later in the
-    # oracle with a TypeError; a negative one was refused for its length
+    # a float count would pass the 2^N length check (2 ** 2.0 == 4) and
+    # fail only in the oracle, and a negative one for its vector length
     with pytest.raises(DomainError, match=r"^atom count (2\.0|True|-1) must be"):
         build()
 
