@@ -104,6 +104,8 @@ class Partition:
 
     @classmethod
     def equal(cls, n_atoms: int, n_parts: int) -> "Partition":
+        if not (_is_int_type(type(n_parts)) and n_parts >= 1):
+            raise DomainError(f"part count {n_parts!r} must be a positive integer")
         if n_atoms % n_parts:
             raise DomainError(f"{n_atoms} atoms cannot form {n_parts} equal parts")
         return cls((n_atoms // n_parts,) * n_parts)
@@ -247,9 +249,10 @@ class FullBasisState:
     change to that array is not seen.  States the package builds
     (``to_full_basis``, ``symmetric_state`` and sign flips) start from their
     support and build the read-only ``amplitudes`` on first read, then keep
-    them.  The repr names N only, so printing a state builds nothing.  The
-    excitation number is the popcount of the support indices whose
-    |a| > 1e-12.
+    them.  The repr names N only, so printing a state builds nothing, and
+    two states are equal when their N and the nonzero entries of their
+    supports are.  The excitation number is the popcount of the support
+    indices whose |a| > 1e-12.
     """
 
     n_atoms: int
@@ -277,6 +280,16 @@ class FullBasisState:
         index.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "_support", (index, values))
         _require_unit_norm(math.sqrt(np.vdot(values, values).real))
+
+    def __eq__(self, other):
+        # N and the nonzero part of the support: no 2^N vector is compared
+        if not isinstance(other, FullBasisState):
+            return NotImplemented
+        if self.n_atoms != other.n_atoms:
+            return False
+        (i, v), (j, w) = self._support, other._support
+        return (np.array_equal(i[v != 0], j[w != 0])
+                and np.array_equal(v[v != 0], w[w != 0]))
 
     def __getattr__(self, name):
         # only reached while the amplitudes of a state made by _of are unset

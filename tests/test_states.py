@@ -640,3 +640,31 @@ def test_oracle_rate_does_not_depend_on_the_blas_thread_count(crystal_input):
                              capture_output=True, text=True, check=True)
         rates.append(run.stdout.strip())
     assert rates[0] == rates[1]
+
+
+def test_full_basis_states_compare_by_atom_count_and_support():
+    # equality reads N and the support: no 2^N vector is built or compared
+    a = FullBasisState(2, [0, 1, 0, 0])
+    assert a == FullBasisState(2, [0, 1, 0, 0])
+    assert a != FullBasisState(2, [0, 0, 1, 0])
+    assert a != FullBasisState(2, [0, -1, 0, 0])
+    assert a != FullBasisState(1, [0, 1])
+    assert a != "FullBasisState(n_atoms=2)"
+    # a state built from its support equals its dense copy, and an explicit
+    # zero on the support is no part of it
+    part = Partition.equal(20, 2)
+    lazy = to_full_basis(symmetric_partitioned(2, part))
+    index, values = lazy._support
+    padded = FullBasisState._of(20, np.append(index, 2 ** 20 - 1),
+                                np.append(values, 0j))
+    _, peak = _traced_peak(lambda: lazy == padded)
+    assert lazy == padded and peak < 2 ** 20
+    assert "amplitudes" not in lazy.__dict__ and "amplitudes" not in padded.__dict__
+    assert lazy == FullBasisState(20, lazy.amplitudes.copy())
+    assert lazy != apply_sign_pattern(lazy, SignPattern((1, -1)), partition=part)
+
+
+@pytest.mark.parametrize("n_parts", [0, -2, 2.0, True, "2", None])
+def test_a_part_count_that_is_not_a_positive_integer_is_refused(n_parts):
+    with pytest.raises(DomainError, match=f"part count {re.escape(repr(n_parts))} "):
+        Partition.equal(4, n_parts)
