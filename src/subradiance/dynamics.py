@@ -315,14 +315,16 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 # breakpoints.  Shared by the RK4 integrator and the quadrature helpers.
 # ---------------------------------------------------------------------------
 
-def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]) -> dict[int, float]:
-    """Nodes that sit on a breakpoint, in node order, each with its
-    breakpoint's time; each holds the value of the segment it opens, even
-    the last node."""
-    k = grid.nodes_of(breakpoints)
-    on = k >= 0
-    times = np.asarray(breakpoints, dtype=float)[on]
-    return dict(sorted(zip(k[on].tolist(), times.tolist())))
+def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]):
+    """Nodes that sit on a breakpoint, increasing, and each one's breakpoint
+    time (the latest, where two share a node); each holds the value of the
+    segment it opens, even the last node."""
+    t = np.asarray(breakpoints, dtype=float)
+    k = grid.nodes_of(t)
+    order = np.lexsort((t, k))
+    k, t = k[order], t[order]
+    keep = (k >= 0) & np.append(k[1:] != k[:-1], True)
+    return k[keep], t[keep]
 
 
 def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.ndarray:
@@ -331,27 +333,32 @@ def _node_samples(shape, grid: TimeGrid, breakpoints: tuple[float, ...]) -> np.n
     1e-6 dt from the node, either side."""
     # a copy unless the shape returns a fresh complex array, as _Pieces does
     samples = np.asarray(shape(grid.times), dtype=complex)
-    jumps = _jump_nodes(grid, breakpoints)
-    if jumps:
-        nudged = np.array(list(jumps.values())) + _EDGE_NUDGE * grid.dt
-        samples[list(jumps)] = shape(nudged)
+    k, t = _jump_nodes(grid, breakpoints)
+    if len(k):
+        samples[k] = shape(t + _EDGE_NUDGE * grid.dt)
     return samples
 
 
-def _cubic_midpoints(y: np.ndarray) -> np.ndarray:
-    """Midpoint values of a smoothly sampled array via 4-point cubics."""
+def _cubic_midpoints(y: np.ndarray, out: np.ndarray) -> None:
+    """Midpoint values of a smoothly sampled array via 4-point cubics, written
+    into ``out`` (one fewer than ``y``)."""
     n = len(y)
     if n == 2:
-        return np.array([0.5 * (y[0] + y[1])])
-    if n == 3:
+        out[0] = 0.5 * (y[0] + y[1])
+    elif n == 3:
         # quadratic through all three points
-        return np.array([0.375 * y[0] + 0.75 * y[1] - 0.125 * y[2],
-                         -0.125 * y[0] + 0.75 * y[1] + 0.375 * y[2]])
-    mid = np.empty(n - 1, dtype=complex)
-    mid[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
-    mid[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
-    mid[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
-    return mid
+        out[0] = 0.375 * y[0] + 0.75 * y[1] - 0.125 * y[2]
+        out[1] = -0.125 * y[0] + 0.75 * y[1] + 0.375 * y[2]
+    else:
+        # (-y[i-1] + 9 y[i] + 9 y[i+1] - y[i+2]) / 16, in place
+        mid = out[1:-1]
+        np.add(y[1:-2], y[2:-1], out=mid)
+        mid *= 9.0
+        mid -= y[:-3]
+        mid -= y[3:]
+        mid /= 16.0
+        out[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
+        out[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
 
 
 def _cubic_left_limit(y: np.ndarray) -> complex:
@@ -363,6 +370,55 @@ def _cubic_left_limit(y: np.ndarray) -> complex:
     return 2.0 * y[-1] - y[-2]
 
 
+def _one_sided(f: WavePacket):
+    """The breakpoint nodes k of a packet, increasing, with its right and
+    left limits there: the values that start the step from k and end the
+    step into k.  From ``shape``, a nudge either side of each breakpoint,
+    which may lie up to 1e-6 dt from its node; for samples only, the node
+    sample (right-sided already) and the cubic left limit of the run that
+    ends on k.  The right limit on the last node and the left limit on node
+    0 start or end no step and are not read."""
+    grid, y = f.grid, f.samples
+    k, t = _jump_nodes(grid, f.breakpoints)
+    if f.shape is not None:
+        # both sides of every breakpoint in one call, in time order
+        nudge = _EDGE_NUDGE * grid.dt
+        both = np.asarray(f.shape(np.column_stack([t - nudge, t + nudge]).ravel()),
+                          dtype=complex)
+        return k, both[1::2], both[::2]
+    right = y[k].astype(complex)
+    left = right.copy()
+    # the run that ends on a breakpoint node starts on the one before it
+    for i, (a, b) in enumerate(zip([0, *k.tolist()], k.tolist())):
+        if b > 0:
+            run = y[a:b]
+            left[i] = run[-1] if len(run) == 1 else _cubic_left_limit(run)
+    return k, right, left
+
+
+def _midpoints(f: WavePacket, k: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Step midpoint values of a packet with breakpoint nodes ``k`` and left
+    limits ``left`` there (``_one_sided``): from ``shape`` when there is one,
+    else from cubics that never cross a breakpoint, each run ending on a
+    breakpoint node closed by the left limit.  A contiguous complex array;
+    from ``shape`` it may be the callable's own, so it is only read."""
+    grid, y = f.grid, f.samples
+    n = grid.n_samples
+    if f.shape is not None:
+        # t0 + (k + 1/2) dt, without building the grid's node times
+        t = np.arange(0.5, n - 1, dtype=float)
+        t *= grid.dt
+        t += grid.t0
+        return np.ascontiguousarray(f.shape(t), dtype=complex)
+    vm = np.empty(n - 1, dtype=complex)
+    lefts = dict(zip(k.tolist(), left.tolist()))
+    bounds = sorted(set(lefts) | {0, n - 1})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        seg = np.append(y[a:b], lefts[b]) if b in lefts else y[a:b + 1]
+        _cubic_midpoints(seg, vm[a:b])
+    return vm
+
+
 def _cell_values(f: WavePacket):
     """Per-step (start, mid, end) values of a packet.
 
@@ -370,51 +426,94 @@ def _cell_values(f: WavePacket):
     midpoints from ``shape`` when there is one, else from cubics that never
     cross a breakpoint.
     """
-    grid, y = f.grid, f.samples
-    n = grid.n_samples
-    jumps = _jump_nodes(grid, f.breakpoints)
-    if f.shape is not None:
-        # midpoints before the step ends: the shape's grid-length temporaries
-        # are freed before the two copies are made, which lowers peak memory
-        times = grid.times
-        vm = np.asarray(f.shape(times[:-1] + 0.5 * grid.dt), dtype=complex)
-        v0 = y[:-1].astype(complex)
-        v1 = y[1:].astype(complex)
-        if jumps:
-            # a nudge either side of each breakpoint, which may lie up to
-            # 1e-6 dt from its node
-            k, t = np.array(list(jumps)), np.array(list(jumps.values()))
-            nudge = _EDGE_NUDGE * grid.dt
-            v0[k[k < n - 1]] = f.shape(t[k < n - 1] + nudge)
-            v1[k[k > 0] - 1] = f.shape(t[k > 0] - nudge)
-        return v0, vm, v1
+    k, right, left = _one_sided(f)
+    # midpoints before the step ends: the shape's grid-length temporaries
+    # are freed before the two copies are made, which lowers peak memory
+    vm = _midpoints(f, k, left)
+    y, n = f.samples, f.grid.n_samples
     v0 = y[:-1].astype(complex)
     v1 = y[1:].astype(complex)
-    vm = np.empty(n - 1, dtype=complex)
-    bounds = sorted(set(jumps) | {0, n - 1})
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b in jumps:
-            # node b holds the right-sided limit; the run ending at b needs
-            # its final value carried in from the left
-            run = y[a:b]
-            left = run[-1] if len(run) == 1 else _cubic_left_limit(run)
-            seg = np.concatenate([run, [left]])
-            v1[b - 1] = left
-        else:
-            seg = y[a:b + 1]
-        vm[a:b] = _cubic_midpoints(seg)
+    v0[k[k < n - 1]] = right[k < n - 1]
+    v1[k[k > 0] - 1] = left[k > 0]
     return v0, vm, v1
 
 
-def _photon_density(cell_values, dt: float, p: EnsembleParams) -> np.ndarray:
-    """Photon probability (1/tau_E) int |F|^2 over each grid step (Simpson)."""
-    v0, vm, v1 = (np.abs(v) ** 2 for v in cell_values)
-    return (dt / 6.0) * (v0 + 4.0 * vm + v1) / p.tau_E
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 as re^2 + im^2, the order np.square over float pairs sums it in."""
+    return v.real ** 2 + v.imag ** 2
+
+
+def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
+    """Per span of steps at[i] .. at[i+1] - 1 (``at`` increasing, from node 0
+    to the last node): the photon number (1/tau_E) int |F|^2 and int F, both
+    by Simpson's rule on each step, and with ``rk4`` (``_rk4_weights``) the
+    amplitude the span ends on from c = 0 at its start, sum_k A^(e-1-k) B[k]
+    over its steps a <= k < e under the RK4 step c[k+1] = A c[k] + B[k].
+
+    No per-step array is built.  A step starts on its first node's sample
+    and ends on the next one's, except at a breakpoint node, where it starts
+    on the right limit and ends on the left limit.  So a span's sums over
+    its step starts and over its step ends are one node sum Y = sum y_k
+    (np.add.reduceat over y, or over the float pairs of y squared for |y|^2)
+    plus one term per breakpoint node, the ends' shifted by one node:
+    Y - y_a + y_e.  The capture regroups the same way: with G = sum
+    A^(e-1-k) y_k, H = sum A^(e-1-k) vm_k over the midpoints vm, evaluated
+    once, and B[k] = (h s / 6)(w0 v0[k] + wm vm[k] + v1[k]), it is
+
+        (h s / 6)(w0 G + wm H + y_e + A (G - A^(e-1-a) y_a) + jump terms).
+    """
+    grid = f.grid
+    y = np.ascontiguousarray(f.samples, dtype=complex)
+    k, right, left = _one_sided(f)
+    vm = _midpoints(f, k, left)
+    at = np.asarray(at, dtype=np.int64)
+    a, e = at[:-1], at[1:]
+    steps = at[-1]
+    # one grid-length buffer: |y|^2 and |vm|^2 as float pairs, then the
+    # weighted samples of the capture
+    buf = np.empty(steps, dtype=complex)
+    pairs = buf.view(float)
+    y_sq = np.add.reduceat(np.square(y[:steps].view(float), out=pairs), 2 * a)
+    vm_sq = np.add.reduceat(np.square(vm.view(float), out=pairs), 2 * a)
+    y_sum, vm_sum = np.add.reduceat(y[:steps], a), np.add.reduceat(vm, a)
+    y_a, y_e = y[a], y[e]
+    # one term per breakpoint node k: the step from k starts on the right
+    # limit, the step into k ends on the left limit
+    k0, k1 = k[k < steps], k[k > 0]
+    step = np.concatenate([k0, k1 - 1])
+    span = np.searchsorted(at, step, side="right") - 1
+    limit = np.concatenate([right[k < steps], left[k > 0]])
+    node = y[np.concatenate([k0, k1])]
+    jump = limit - node
+    jump_sum = np.zeros(len(a), dtype=complex)
+    np.add.at(jump_sum, span, jump)
+    jump_sq = np.zeros(len(a))
+    np.add.at(jump_sq, span, _abs2(limit) - _abs2(node))
+    photons = ((grid.dt / 6.0) / p.tau_E) * (
+        2.0 * y_sq - _abs2(y_a) + _abs2(y_e) + 4.0 * vm_sq + jump_sq)
+    flux = (grid.dt / 6.0) * (2.0 * y_sum - y_a + y_e + 4.0 * vm_sum + jump_sum)
+    if rk4 is None:
+        return photons, flux, None
+    big_a, w0, wm, s = rk4
+    spans = np.diff(at)
+    # A^(e-1-k) at every step: per span, the table A^j (j below the longest
+    # span, so no power overflows) read backwards
+    table = big_a ** np.arange(spans.max(initial=0))
+    back = table[::-1]
+    w = np.concatenate([back[len(back) - m:] for m in spans.tolist()])
+    g = np.add.reduceat(np.multiply(y[:steps], w, out=buf), a)
+    h = np.add.reduceat(np.multiply(vm, w, out=buf), a)
+    ends = w0 * g + wm * h + y_e + big_a * (g - table[spans - 1] * y_a)
+    # a right limit enters its step's forcing with w0, a left limit with 1
+    jump *= table[e[span] - 1 - step]
+    jump[:len(k0)] *= w0
+    np.add.at(ends, span, jump)
+    return photons, flux, ends * (s * grid.dt / 6.0)
 
 
 def packet_norm(f: WavePacket, p: EnsembleParams) -> float:
     """Photon-probability content (1/tau_E) int |F|^2 dt."""
-    return float(np.sum(_photon_density(_cell_values(f), f.grid.dt, p)))
+    return float(_span_sums(f, p, [0, f.grid.n_samples - 1])[0][0])
 
 
 def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
@@ -451,19 +550,26 @@ def _require_fine_grid(h: float, p: EnsembleParams) -> None:
         )
 
 
-def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
-    """A and the forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]."""
+def _rk4_weights(h: float, p: EnsembleParams):
+    """A, w0, wm and s of the RK4 step c[k+1] = A c[k] + B[k] of step h, with
+    forcing B[k] = (h/6)(w0 s v0[k] + wm s vm[k] + s v1[k]) from the step's
+    start, midpoint and end values."""
     _require_fine_grid(h, p)
     a = -0.5 / p.tau_R
     s = -1.0 / np.sqrt(p.tau_R * p.tau_E)
-    v0, vm, v1 = cell_values
-
     # One RK4 step of the affine system is c' = A c + B with constant A;
-    # the forcing weights below come from expanding the four stages.
+    # the forcing weights come from expanding the four stages.
     q = 0.5 * h * a
     big_a = 1.0 + 2 * q + 2 * q**2 + (4.0 / 3.0) * q**3 + (2.0 / 3.0) * q**4
     w0 = 1.0 + 2 * q + 2 * q**2 + 2 * q**3
     wm = 4.0 + 4 * q + 2 * q**2
+    return big_a, w0, wm, s
+
+
+def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
+    """A and the forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]."""
+    big_a, w0, wm, s = _rk4_weights(h, p)
+    v0, vm, v1 = cell_values
     # B = (h/6)(w0 s v0 + wm s vm + s v1), built in place: two arrays at a time
     big_b = s * v0
     big_b *= w0
@@ -685,39 +791,30 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         # bins end on the pulses' own times, within 1e-6 dt of their nodes
         cut_times = [grid.t0, *ends]
         seg = _segments(f.shape, p, grid, cut_times)
-        photons = seg.photons
-        in_norm = _require_one_photon(float(np.sum(photons)))
+        in_norm = _require_one_photon(float(np.sum(seg.photons)))
         _require_fine_grid(grid.dt, p)
         c_nodes = partial(_segment_nodes, seg, p, f)
         # the segments of bin n run from the n-th cut to the next one
         at = np.searchsorted(seg.bounds, cut_times)
         captured = seg.c_end[at[1:] - 1]
-        flux = _bin_sums(seg.flux, at)
+        photons, flux = _bin_sums(seg.photons, at), _bin_sums(seg.flux, at)
     else:
-        # bin n holds the steps from the n-th edge node to the next
-        at = [0, *edges]
-        cells = _cell_values(f)
-        photons = _photon_density(cells, grid.dt, p)
-        # int F over a bin by Simpson's rule on its steps, as for its photons
-        v0, vm, v1 = (_bin_sums(v, at) for v in cells)
-        flux = (grid.dt / 6.0) * (v0 + 4.0 * vm + v1)
+        # bin n holds the steps from the n-th edge node to the next; a grid
+        # tail past the last edge is one more span, in the input's norm only
+        last = grid.n_samples - 1
+        at = [0, *edges] + ([last] if not edges or edges[-1] < last else [])
+        photons, flux, captured = _span_sums(f, p, at, _rk4_weights(grid.dt, p))
         in_norm = _require_one_photon(float(np.sum(photons)))
-        big_a, big_b = _rk4_forcing(cells, grid.dt, p)
-        del cells  # three grid-length arrays, not needed past the forcing
-        # from c = 0 at its first step a, bin n ends on sum_k A^(b-1-k) B[k]
-        # over its steps k < b: one gather from the table A^j, j below the
-        # longest bin (|A| < 1, so no power overflows)
-        spans = np.diff(at)
-        lag = np.repeat(np.subtract(at[1:], 1), spans) - np.arange(at[-1])
-        captured = _bin_sums(big_b[:at[-1]] * big_a ** np.arange(spans.max(initial=0))[lag],
-                             at)
+        bins = len(edges)
+        photons, flux, captured = photons[:bins], flux[:bins], captured[:bins]
 
         def c_nodes():
             # the scan, restarting at the bin edges, runs only when c is read
+            big_a, big_b = _rk4_forcing(_cell_values(f), grid.dt, p)
             c = _rk4_recurrence(big_a, big_b, 0.0, edges)
             c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
             return c
-    return in_norm, c_nodes, captured, _bin_sums(photons, at).tolist(), flux.tolist()
+    return in_norm, c_nodes, captured, photons.tolist(), flux.tolist()
 
 
 def _bin_sums(v: np.ndarray, at) -> np.ndarray:

@@ -78,7 +78,7 @@ def _assert_cells_match(f, ref):
     n = grid.n_samples
     nudge = _EDGE_NUDGE * grid.dt
     want0, want1 = ref(t[:-1]), ref(t[1:])
-    for k in _jump_nodes(grid, f.breakpoints):
+    for k in _jump_nodes(grid, f.breakpoints)[0]:
         if k > 0:
             want1[k - 1] = ref(t[k:k + 1] - nudge)[0]
         if k < n - 1:
@@ -445,3 +445,134 @@ def test_trajectory_table_shape(params):
         g.times, f_in.samples.real, f_in.samples.imag, traj.c.real, traj.c.imag,
         f_out.samples.real, f_out.samples.imag)]
     assert trajectory_table(f_in, traj, f_out) == "\n".join(want) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the sampled write from node sums, against the per-step formula
+# ---------------------------------------------------------------------------
+
+def _per_step_cells(f):
+    """(start, mid, end) of every step as separate arrays, one-sided at the
+    breakpoint nodes: a nudge either side of the breakpoint from ``shape``,
+    else the node sample and the cubic left limit of the run ending there;
+    midpoints from ``shape``, else 4-point cubics that never cross a
+    breakpoint."""
+    grid, y = f.grid, f.samples
+    n = grid.n_samples
+    jumps = dict(zip(*(v.tolist() for v in _jump_nodes(grid, f.breakpoints))))
+    v0, v1 = y[:-1].astype(complex), y[1:].astype(complex)
+    if f.shape is not None:
+        vm = np.asarray(f.shape(grid.times[:-1] + 0.5 * grid.dt), dtype=complex)
+        nudge = _EDGE_NUDGE * grid.dt
+        for k, t in jumps.items():
+            if k < n - 1:
+                v0[k] = f.shape(np.array([t + nudge]))[0]
+            if k > 0:
+                v1[k - 1] = f.shape(np.array([t - nudge]))[0]
+        return v0, vm, v1
+
+    def left_limit(run):
+        if len(run) == 1:
+            return run[-1]
+        if len(run) == 2:
+            return 2.0 * run[-1] - run[-2]
+        if len(run) == 3:
+            return run[-3] - 3.0 * run[-2] + 3.0 * run[-1]
+        return -run[-4] + 4.0 * run[-3] - 6.0 * run[-2] + 4.0 * run[-1]
+
+    def midpoints(seg):
+        if len(seg) == 2:
+            return np.array([0.5 * (seg[0] + seg[1])])
+        if len(seg) == 3:
+            return np.array([0.375 * seg[0] + 0.75 * seg[1] - 0.125 * seg[2],
+                             -0.125 * seg[0] + 0.75 * seg[1] + 0.375 * seg[2]])
+        mid = np.empty(len(seg) - 1, dtype=complex)
+        mid[1:-1] = (-seg[:-3] + 9.0 * seg[1:-2] + 9.0 * seg[2:-1] - seg[3:]) / 16.0
+        mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
+        mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
+        return mid
+
+    vm = np.empty(n - 1, dtype=complex)
+    bounds = sorted(set(jumps) | {0, n - 1})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        seg = y[a:b + 1].astype(complex)
+        if b in jumps:
+            seg[-1] = v1[b - 1] = left_limit(y[a:b])
+        vm[a:b] = midpoints(seg)
+    return v0, vm, v1
+
+
+def _per_step_write(f, params, edges):
+    """Input norm and each bin's captured amplitude, photon number and int F
+    from per-step arrays: Simpson's rule on every step, and the captured
+    amplitude sum_k A^(e-1-k) B[k] of the RK4 forcing, bin by bin."""
+    dt = f.grid.dt
+    cells = _per_step_cells(f)
+    v0, vm, v1 = cells
+    photons = (dt / 6.0) * (np.abs(v0) ** 2 + 4.0 * np.abs(vm) ** 2 + np.abs(v1) ** 2) / params.tau_E
+    flux = (dt / 6.0) * (v0 + 4.0 * vm + v1)
+    big_a, big_b = _rk4_forcing(cells, dt, params)
+    bins = list(zip([0, *edges[:-1]], edges))
+    captured = [np.dot(big_a ** np.arange(e - a)[::-1], big_b[a:e]) for a, e in bins]
+    return (np.sum(photons), np.array(captured),
+            np.array([np.sum(photons[a:e]) for a, e in bins]),
+            np.array([np.sum(flux[a:e]) for a, e in bins]))
+
+
+def _seeded_sampled_write(params, seed):
+    """A complex piecewise-smooth shape over uneven bins, with an exactly
+    empty bin, breakpoints inside the bins and on their edges, each up to
+    0.9e-6 dt off its node, and either a grid tail or a last edge on the
+    last node; returns the shape packet, its samples-only twin and the
+    edges."""
+    rng = np.random.default_rng(seed)
+    dt = params.tau_R / 200
+    t0 = float(rng.uniform(0, 2)) * params.tau_R
+    spans = rng.integers(3, 300, size=int(rng.integers(3, 7)))
+    edges = np.cumsum(spans)
+    tail = int(rng.integers(1, 200)) if seed % 2 else 0
+    grid = make_grid(params, (edges[-1] + tail) * dt, t0=t0, dt=dt)
+    interior = rng.choice(np.setdiff1d(np.arange(1, edges[-1]), edges), size=3,
+                          replace=False)
+    nodes = np.unique(np.concatenate([[0], edges, interior]))
+    bps = t0 + nodes * dt + rng.uniform(-0.9e-6, 0.9e-6, len(nodes)) * dt
+    assert grid.nodes_of(bps).tolist() == nodes.tolist()
+    # piece j runs from bps[j - 1] on; the pieces inside one bin are zero
+    amps = rng.normal(size=len(nodes) + 1) + 1j * rng.normal(size=len(nodes) + 1)
+    rates = rng.uniform(-1, 1, len(nodes) + 1) + 5j * rng.normal(size=len(nodes) + 1)
+    refs = np.append(t0, bps)
+    empty = int(rng.integers(1, len(edges)))
+    amps[np.flatnonzero((nodes >= edges[empty - 1]) & (nodes < edges[empty])) + 1] = 0.0
+    amps[0] = 0.0
+    breakpoints = tuple(bps.tolist())
+
+    def packet(level):
+        def shape(t):
+            t = np.asarray(t, dtype=float)
+            j = np.searchsorted(bps, t, side="right")
+            return level * amps[j] * np.exp(rates[j] * (t - refs[j]) / params.tau_R)
+
+        return WavePacket(grid, dynamics._node_samples(shape, grid, breakpoints),
+                          shape=shape, breakpoints=breakpoints)
+
+    f = packet(math.sqrt(0.9 / _per_step_write(packet(1.0), params, edges.tolist())[0]))
+    return f, packet_from_samples(grid, f.samples, breakpoints), edges.tolist()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_node_sum_write_matches_the_per_step_formula(params, seed):
+    shaped, sampled, edges = _seeded_sampled_write(params, seed)
+    assert (edges[-1] == shaped.grid.n_samples - 1) == (seed % 2 == 0)
+    for f in (shaped, sampled):
+        ends = f.grid.t0 + f.grid.dt * np.array(edges)
+        in_norm, _, captured, photons, flux = dynamics._bins_from_zero(
+            f, params, edges, ends)
+        want = _per_step_write(f, params, edges)
+        got = (in_norm, captured, np.array(photons), np.array(flux))
+        for name, g, w in zip(("input norm", "captured", "photons", "flux"), got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
+        assert abs(packet_norm(f, params) - want[0]) <= 1e-13 * want[0]
+        # the empty bin captures nothing, and holds no photon
+        empty = [n for n, (a, e) in enumerate(zip([0, *edges[:-1]], edges))
+                 if not np.any(f.samples[a:e])]
+        assert empty and all(captured[n] == 0 and photons[n] == 0 for n in empty)
