@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subradiance import (DomainError, PiPairConfig, PlanError, PlanReport, PulsePlan,
+from subradiance import (DomainError, Partition, PiPairConfig, PlanError, PlanReport,
+                         PulsePlan, SignPattern, apply_sign_pattern, emission_rate,
                          plan_passive, plan_read, plan_write, schedule, sylvester,
-                         validate_pi_pair, verify_plan)
+                         symmetric_partitioned, validate_pi_pair, verify_plan)
 
 
 def test_sylvester_orthogonality():
@@ -569,3 +570,80 @@ def test_key_verifier_matches_dot_kernel_on_plans_of_no_bins():
         for stage in ("read", "read_reversed", "passive_read"):
             assert _assert_same_report(PulsePlan(parts, (), empty, 1.0, stage, 0),
                                        write).ok
+
+
+# ---------------------------------------------------------------------------
+# plans against the state algebra: a parked row is dark, an emitting one is
+# superradiant
+# ---------------------------------------------------------------------------
+
+def _running_products(plan):
+    """The running mask product after each event of ``plan``: the flips'
+    cumulative product, or a passive pattern's downstream products
+    s_j = prod_{i >= j} m_i, which set it outright."""
+    if plan.stage.startswith("passive"):
+        return np.multiply.accumulate(plan.masks[:, ::-1], axis=1)[:, ::-1]
+    return np.multiply.accumulate(plan.masks, axis=0)
+
+
+def _plan_pairs(parts, bins):
+    """Every planner output of one geometry: the active and the passive
+    write, each with its forward and its reversed read."""
+    for passive in (False, True):
+        write = plan_passive(parts, bins, 1.0, "write") if passive else plan_write(parts, bins, 1.0)
+        for reversed_ in (False, True):
+            read = (plan_passive(parts, bins, 1.0, "read", reversed_, write.t_end) if passive
+                    else plan_read(parts, bins, 1.0, reversed_, write.t_end))
+            yield write, read
+
+
+@pytest.mark.parametrize("parts", [2, 4, 8, 16, 32, 64])
+def test_plans_park_dark_rows_and_read_each_one_superradiant(params, parts):
+    # a row's rate for the one-excitation symmetric state over N = 2 parts
+    # atoms: N mu/T1 on (minus) all-plus, 0 on a row orthogonal to it; rated
+    # once per distinct row
+    n_atoms = 2 * parts
+    state = symmetric_partitioned(1, Partition.equal(n_atoms, parts))
+    unit = params.mu / params.excited_lifetime
+    rates = {}
+
+    def rate(row):
+        key = row.tobytes()
+        if key not in rates:
+            pattern = SignPattern(tuple(row.tolist()))
+            rates[key] = emission_rate(apply_sign_pattern(state, pattern), params) / unit
+        return rates[key]
+
+    for bins in sorted({1, parts // 2, parts - 1}):
+        for write, read in _plan_pairs(parts, bins):
+            report = verify_plan(write)
+            rows = np.array([[1 if c == "+" else -1 for c in r] for r in report.final_rows])
+            assert len(rows) == bins
+            for row in rows:
+                assert abs(rate(row)) < 1e-12 * n_atoms
+            # the read's running product, taken from the write's end
+            ends = _running_products(read)
+            if read.stage.startswith("passive"):
+                ends = ends * _running_products(write)[-1]
+            order = verify_plan(read, write).emission_order
+            parked = set(range(1, bins + 1))
+            for slot, (end, emitted) in enumerate(zip(ends, order)):
+                for n in parked:
+                    got = rate(rows[n - 1] * end)
+                    want = n_atoms if n == emitted else 0.0
+                    assert abs(got - want) < 1e-12 * n_atoms, (write.stage, read.stage, slot, n)
+                parked.remove(emitted)
+            assert not parked
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_parked_state_of_n_excitations_is_not_dark(params, n):
+    # a stored row is dark for one excitation, but a symmetric state of n
+    # excitations parked in it radiates n(n - 1)/(N - 1) mu/T1
+    n_atoms = 40
+    state = symmetric_partitioned(n, Partition.equal(n_atoms, 8))
+    unit = params.mu / params.excited_lifetime
+    for r in verify_plan(plan_write(8, 7, 1.0)).final_rows:
+        parked = apply_sign_pattern(state, SignPattern.from_string(r))
+        assert emission_rate(parked, params) / unit == pytest.approx(
+            n * (n - 1) / (n_atoms - 1), rel=1e-12)

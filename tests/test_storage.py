@@ -937,6 +937,26 @@ def test_sampled_write_with_uneven_bins_bounds_its_forcing(params, monkeypatch):
     assert peak < 16 * 16 * grid.n_samples
 
 
+def test_sampled_write_of_61_bins_peaks_below_four_and_a_half_grid_arrays(params):
+    # 61 bins of 205 steps over 64 parts: the write holds its midpoints and
+    # two grid-length buffers on top of the shape's own temporaries; the
+    # per-step write, with copies of the node samples, three |v|^2 arrays, a
+    # photon density and an eager forcing, peaked at 5.7 grid arrays
+    rng = np.random.default_rng(61)
+    amps = rng.normal(size=61) + 1j * rng.normal(size=61)
+    f_in, write, read = _piecewise_setup(params, amps / np.linalg.norm(amps), 64, True,
+                                         bin_in_tau_r=205 / 200)
+    n = f_in.grid.n_samples
+    tracemalloc.start()
+    try:
+        rep = end_to_end(f_in, write, read, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert peak < 4.5 * 16 * n
+
+
 # ---------------------------------------------------------------------------
 # seeded store differential: the write, the verifier and the read against
 # each other and against the mask-by-mask ledger
