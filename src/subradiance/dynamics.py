@@ -22,8 +22,12 @@ discontinuities are expected to sit on grid nodes.  To keep the genuine
 it is sampled at the midpoints, and a hair inside the step on either side
 of every breakpoint node.  Packets given only as samples have their
 midpoint values reconstructed by 4-point cubic interpolation that never
-crosses a declared breakpoint.  Those cell values, sampled once, give the
-forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k] and the photon number.
+crosses a declared breakpoint.  Those cell values give the forcing B[k] of
+the RK4 step c[k+1] = A c[k] + B[k]; the photon number and int F are
+Simpson's rule on the same values.  A quadrature over spans of steps
+(``_span_sums``: ``packet_norm``, and the write below) builds no per-step
+array: step starts and ends are the node samples shifted by one, so each
+span's sum is one node sum plus a term per breakpoint node.
 The analytic packets of this package (rectangular, rising exponential, the
 time-bin qubit, the read-out) are piecewise exponentials, sampled by one
 vectorized helper with one exponential per point.
@@ -40,9 +44,11 @@ and restarts from 0 at every bin edge.  A piecewise-exponential packet is
 written from its pieces in O(pieces + bins) scalar steps; c on the nodes
 (``_segment_nodes``, O(samples)) is left to a sampler that runs only when
 the transmitted packet is read.  Any other packet (a user shape, or samples
-only) is written on its RK4 forcing: from c = 0, a bin's captured amplitude
-is one weighted sum of its steps' forcing, and the RK4 scan that restarts
-at the bin edges runs only when the transmitted packet is read.
+only) is written on its RK4 step: from c = 0, a bin's captured amplitude is
+the weighted sum sum_k A^(e-1-k) B[k] of its steps' forcing, which
+``_span_sums`` takes from node sums with the midpoints evaluated once; the
+cell values, the forcing and the RK4 scan that restarts at the bin edges
+are built only when the transmitted packet is read.
 
 The analytic packets (``_shape_packet``), the transmitted packet and the
 read-out are lazy (``_lazy_packet``): their node samples, and the grid's
@@ -495,15 +501,15 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     if rk4 is None:
         return photons, flux, None
     big_a, w0, wm, s = rk4
-    spans = np.diff(at)
+    spans = e - a
     # A^(e-1-k) at every step: per span, the table A^j (j below the longest
     # span, so no power overflows) read backwards
     table = big_a ** np.arange(spans.max(initial=0))
     back = table[::-1]
     w = np.concatenate([back[len(back) - m:] for m in spans.tolist()])
-    g = np.add.reduceat(np.multiply(y[:steps], w, out=buf), a)
-    h = np.add.reduceat(np.multiply(vm, w, out=buf), a)
-    ends = w0 * g + wm * h + y_e + big_a * (g - table[spans - 1] * y_a)
+    big_g = np.add.reduceat(np.multiply(y[:steps], w, out=buf), a)
+    big_h = np.add.reduceat(np.multiply(vm, w, out=buf), a)
+    ends = w0 * big_g + wm * big_h + y_e + big_a * (big_g - table[spans - 1] * y_a)
     # a right limit enters its step's forcing with w0, a left limit with 1
     jump *= table[e[span] - 1 - step]
     jump[:len(k0)] *= w0
@@ -781,10 +787,12 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     nodes as a fresh array, 0 on each bin-start node and the left limit on
     the last; and each bin's captured amplitude (the left limit of c at its
     end), photon number and int F.  Exact for a piecewise-exponential
-    ``f.shape`` (``_segments``; the sampler runs ``_segment_nodes``), else
-    on the RK4 forcing of the cell values: each bin's captured amplitude is
-    one weighted sum of its forcing, and the sampler runs one RK4 scan with
-    ``restarts=edges``.
+    ``f.shape`` (``_segments``; the sampler runs ``_segment_nodes``).  Any
+    other packet takes all four from the node sums of ``_span_sums``, one
+    span per bin and one for a grid tail past the last edge, which counts
+    in the input's photon number only; it builds no per-step array.  The
+    sampler holds the packet, not its forcing: it builds the cell values and
+    the forcing, and runs one RK4 scan with ``restarts=edges``.
     """
     grid = f.grid
     if isinstance(f.shape, _Pieces):

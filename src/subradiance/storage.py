@@ -14,9 +14,11 @@ The write is one call, ``dynamics._bins_from_zero``: the local law from
 c = 0, restarting from 0 at every bin edge.  It is exact for a
 piecewise-exponential packet (rectangular, rising exponential, time-bin
 qubit, a recall fed back in), in O(pieces + bins) scalar steps.  For any
-other it takes each bin's captured amplitude as one weighted sum of the RK4
-forcing of the cell values, sampled once; the RK4 scan over every node runs
-only when the transmitted packet is read.  Read slots decay freely; loss
+other it takes the input norm and each bin's captured amplitude (the RK4
+sum sum_k A^(e-1-k) B[k]), photon number and int F from per-bin sums over
+the node samples and the midpoints, with no per-step array; the RK4 scan
+over every node runs only when the transmitted packet is read.  Read slots
+decay freely; loss
 and pulse failure are scalar factors, so stored and emitted amplitudes are
 closed forms.  The report's ``transmitted`` and ``output`` packets are
 sampled on their first read, O(samples) each, so a store and recall of a
