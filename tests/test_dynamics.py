@@ -523,8 +523,11 @@ def _seeded_sampled_write(params, seed):
     """A complex piecewise-smooth shape over uneven bins, with an exactly
     empty bin, breakpoints inside the bins and on their edges, each up to
     0.9e-6 dt off its node, and either a grid tail or a last edge on the
-    last node; returns the shape packet, its samples-only twin and the
-    edges."""
+    last node.  Returns the shape packet, whose node samples are the shape
+    at the node times (the left value where a breakpoint lies right of its
+    node, so the step from there starts on a value other than its sample);
+    its samples-only twin, right-sided on every breakpoint node; the edges;
+    and the empty bin's index."""
     rng = np.random.default_rng(seed)
     dt = params.tau_R / 200
     t0 = float(rng.uniform(0, 2)) * params.tau_R
@@ -552,16 +555,18 @@ def _seeded_sampled_write(params, seed):
             j = np.searchsorted(bps, t, side="right")
             return level * amps[j] * np.exp(rates[j] * (t - refs[j]) / params.tau_R)
 
-        return WavePacket(grid, dynamics._node_samples(shape, grid, breakpoints),
-                          shape=shape, breakpoints=breakpoints)
+        return WavePacket(grid, shape(grid.times), shape=shape, breakpoints=breakpoints)
 
     f = packet(math.sqrt(0.9 / _per_step_write(packet(1.0), params, edges.tolist())[0]))
-    return f, packet_from_samples(grid, f.samples, breakpoints), edges.tolist()
+    right_sided = dynamics._node_samples(f.shape, grid, breakpoints)
+    assert not np.array_equal(f.samples, right_sided)
+    return (f, packet_from_samples(grid, right_sided, breakpoints), edges.tolist(),
+            empty)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_node_sum_write_matches_the_per_step_formula(params, seed):
-    shaped, sampled, edges = _seeded_sampled_write(params, seed)
+    shaped, sampled, edges, empty = _seeded_sampled_write(params, seed)
     assert (edges[-1] == shaped.grid.n_samples - 1) == (seed % 2 == 0)
     for f in (shaped, sampled):
         ends = f.grid.t0 + f.grid.dt * np.array(edges)
@@ -572,7 +577,6 @@ def test_node_sum_write_matches_the_per_step_formula(params, seed):
         for name, g, w in zip(("input norm", "captured", "photons", "flux"), got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
         assert abs(packet_norm(f, params) - want[0]) <= 1e-13 * want[0]
-        # the empty bin captures nothing, and holds no photon
-        empty = [n for n, (a, e) in enumerate(zip([0, *edges[:-1]], edges))
-                 if not np.any(f.samples[a:e])]
-        assert empty and all(captured[n] == 0 and photons[n] == 0 for n in empty)
+        assert want[1][empty] == want[2][empty] == 0
+    # right-sided samples of an empty bin cancel its edge terms exactly
+    assert captured[empty] == photons[empty] == flux[empty] == 0
