@@ -450,11 +450,13 @@ def _abs2(v: np.ndarray) -> np.ndarray:
 
 
 def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
-    """Per span of steps at[i] .. at[i+1] - 1 (``at`` increasing, from node 0
-    to the last node): the photon number (1/tau_E) int |F|^2 and int F, both
-    by Simpson's rule on each step, and with ``rk4`` (``_rk4_weights``) the
-    amplitude the span ends on from c = 0 at its start, sum_k A^(e-1-k) B[k]
-    over its steps a <= k < e under the RK4 step c[k+1] = A c[k] + B[k].
+    """Per span of steps at[i] .. at[i+1] - 1 (``at`` increasing from node
+    0), and one last span from at[-1] to the last node unless at[-1] is that
+    node: the photon number (1/tau_E) int |F|^2 and int F, both by Simpson's
+    rule on each step.  With ``rk4`` (``_rk4_weights``), also the amplitude
+    each span of ``at`` ends on from c = 0 at its start, sum_k A^(e-1-k) B[k]
+    over its steps a <= k < e under the RK4 step c[k+1] = A c[k] + B[k];
+    the last span, past at[-1], has none.
 
     No per-step array is built.  A step starts on its first node's sample
     and ends on the next one's, except at a breakpoint node, where it starts
@@ -473,8 +475,9 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     k, right, left = _one_sided(f)
     vm = _midpoints(f, k, left)
     at = np.asarray(at, dtype=np.int64)
-    a, e = at[:-1], at[1:]
-    steps = at[-1]
+    steps = grid.n_samples - 1
+    bounds = at if at[-1] == steps else np.append(at, steps)
+    a, e = bounds[:-1], bounds[1:]
     # one grid-length buffer: |y|^2 and |vm|^2 as float pairs, then the
     # weighted samples of the capture
     buf = np.empty(steps, dtype=complex)
@@ -487,7 +490,7 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     # limit, the step into k ends on the left limit
     k0, k1 = k[k < steps], k[k > 0]
     step = np.concatenate([k0, k1 - 1])
-    span = np.searchsorted(at, step, side="right") - 1
+    span = np.searchsorted(bounds, step, side="right") - 1
     limit = np.concatenate([right[k < steps], left[k > 0]])
     node = y[np.concatenate([k0, k1])]
     jump = limit - node
@@ -501,25 +504,28 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     if rk4 is None:
         return photons, flux, None
     big_a, w0, wm, s = rk4
-    spans = e - a
+    # the spans of ``at`` are the first len(at) - 1, and end on at[-1]
+    n_at, end = len(at) - 1, at[-1]
+    spans = (e - a)[:n_at]
     # A^(e-1-k) at every step: per span, the table A^j (j below the longest
     # span, so no power overflows) read backwards
     table = big_a ** np.arange(spans.max(initial=0))
     back = table[::-1]
-    w = np.concatenate([back[len(back) - m:] for m in spans.tolist()])
-    big_g = np.add.reduceat(np.multiply(y[:steps], w, out=buf), a)
-    big_h = np.add.reduceat(np.multiply(vm, w, out=buf), a)
-    ends = w0 * big_g + wm * big_h + y_e + big_a * (big_g - table[spans - 1] * y_a)
+    w = np.concatenate([back[len(back) - m:] for m in spans.tolist()] or [back])
+    big_g = np.add.reduceat(np.multiply(y[:end], w, out=buf[:end]), a[:n_at])
+    big_h = np.add.reduceat(np.multiply(vm[:end], w, out=buf[:end]), a[:n_at])
+    ends = (w0 * big_g + wm * big_h + y_e[:n_at]
+            + big_a * (big_g - table[spans - 1] * y_a[:n_at]))
     # a right limit enters its step's forcing with w0, a left limit with 1
-    jump *= table[e[span] - 1 - step]
     jump[:len(k0)] *= w0
-    np.add.at(ends, span, jump)
+    on = span < n_at
+    np.add.at(ends, span[on], jump[on] * table[e[span[on]] - 1 - step[on]])
     return photons, flux, ends * (s * grid.dt / 6.0)
 
 
 def packet_norm(f: WavePacket, p: EnsembleParams) -> float:
     """Photon-probability content (1/tau_E) int |F|^2 dt."""
-    return float(_span_sums(f, p, [0, f.grid.n_samples - 1])[0][0])
+    return float(_span_sums(f, p, [0])[0][0])
 
 
 def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
@@ -808,13 +814,10 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
         photons, flux = _bin_sums(seg.photons, at), _bin_sums(seg.flux, at)
     else:
         # bin n holds the steps from the n-th edge node to the next; a grid
-        # tail past the last edge is one more span, in the input's norm only
-        last = grid.n_samples - 1
-        at = [0, *edges] + ([last] if not edges or edges[-1] < last else [])
-        photons, flux, captured = _span_sums(f, p, at, _rk4_weights(grid.dt, p))
+        # tail past the last edge counts in the input's norm only
+        photons, flux, captured = _span_sums(f, p, [0, *edges], _rk4_weights(grid.dt, p))
         in_norm = _require_one_photon(float(np.sum(photons)))
-        bins = len(edges)
-        photons, flux, captured = photons[:bins], flux[:bins], captured[:bins]
+        photons, flux = photons[:len(edges)], flux[:len(edges)]
 
         def c_nodes():
             # the scan, restarting at the bin edges, runs only when c is read

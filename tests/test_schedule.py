@@ -636,6 +636,19 @@ def test_plans_park_dark_rows_and_read_each_one_superradiant(params, parts):
             assert not parked
 
 
+def test_one_excitation_rate_under_any_two_masks_is_their_overlap_squared(params):
+    # the relation behind the test above: under signs r * c the symmetric
+    # one-excitation state over equal parts radiates N (r . c / parts)^2 mu/T1
+    rng = np.random.default_rng(9)
+    unit = params.mu / params.excited_lifetime
+    for parts in (4, 8, 16):
+        state = symmetric_partitioned(1, Partition.equal(3 * parts, parts))
+        for r, c in rng.choice([-1, 1], size=(20, 2, parts)):
+            rate = emission_rate(apply_sign_pattern(state, SignPattern(tuple((r * c).tolist()))),
+                                 params) / unit
+            assert rate == pytest.approx(3 * parts * (r @ c / parts) ** 2, abs=1e-12 * parts)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_parked_state_of_n_excitations_is_not_dark(params, n):
     # a stored row is dark for one excitation, but a symmetric state of n
