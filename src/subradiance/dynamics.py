@@ -488,10 +488,11 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     y_a, y_e = y[a], y[e]
     # one term per breakpoint node k: the step from k starts on the right
     # limit, the step into k ends on the left limit
-    k0, k1 = k[k < steps], k[k > 0]
+    starts, ends = k < steps, k > 0
+    k0, k1 = k[starts], k[ends]
     step = np.concatenate([k0, k1 - 1])
     span = np.searchsorted(bounds, step, side="right") - 1
-    limit = np.concatenate([right[k < steps], left[k > 0]])
+    limit = np.concatenate([right[starts], left[ends]])
     node = y[np.concatenate([k0, k1])]
     jump = limit - node
     jump_sum = np.zeros(len(a), dtype=complex)
@@ -514,13 +515,13 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     w = np.concatenate([back[len(back) - m:] for m in spans.tolist()] or [back])
     big_g = np.add.reduceat(np.multiply(y[:end], w, out=buf[:end]), a[:n_at])
     big_h = np.add.reduceat(np.multiply(vm[:end], w, out=buf[:end]), a[:n_at])
-    ends = (w0 * big_g + wm * big_h + y_e[:n_at]
-            + big_a * (big_g - table[spans - 1] * y_a[:n_at]))
+    captured = (w0 * big_g + wm * big_h + y_e[:n_at]
+                + big_a * (big_g - table[spans - 1] * y_a[:n_at]))
     # a right limit enters its step's forcing with w0, a left limit with 1
     jump[:len(k0)] *= w0
     on = span < n_at
-    np.add.at(ends, span[on], jump[on] * table[e[span[on]] - 1 - step[on]])
-    return photons, flux, ends * (s * grid.dt / 6.0)
+    np.add.at(captured, span[on], jump[on] * table[e[span[on]] - 1 - step[on]])
+    return photons, flux, captured * (s * grid.dt / 6.0)
 
 
 def packet_norm(f: WavePacket, p: EnsembleParams) -> float:
