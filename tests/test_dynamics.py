@@ -509,7 +509,8 @@ def _per_step_write(f, params, edges):
     dt = f.grid.dt
     cells = _per_step_cells(f)
     v0, vm, v1 = cells
-    photons = (dt / 6.0) * (np.abs(v0) ** 2 + 4.0 * np.abs(vm) ** 2 + np.abs(v1) ** 2) / params.tau_E
+    photons = ((dt / 6.0) / params.tau_E) * (
+        np.abs(v0) ** 2 + 4.0 * np.abs(vm) ** 2 + np.abs(v1) ** 2)
     flux = (dt / 6.0) * (v0 + 4.0 * vm + v1)
     big_a, big_b = _rk4_forcing(cells, dt, params)
     bins = list(zip([0, *edges[:-1]], edges))

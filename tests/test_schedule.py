@@ -590,7 +590,8 @@ def _plan_pairs(parts, bins):
     """Every planner output of one geometry: the active and the passive
     write, each with its forward and its reversed read."""
     for passive in (False, True):
-        write = plan_passive(parts, bins, 1.0, "write") if passive else plan_write(parts, bins, 1.0)
+        write = (plan_passive(parts, bins, 1.0, "write") if passive
+                 else plan_write(parts, bins, 1.0))
         for reversed_ in (False, True):
             read = (plan_passive(parts, bins, 1.0, "read", reversed_, write.t_end) if passive
                     else plan_read(parts, bins, 1.0, reversed_, write.t_end))

@@ -939,9 +939,9 @@ def test_sampled_write_with_uneven_bins_bounds_its_forcing(params, monkeypatch):
 
 def test_sampled_write_of_61_bins_peaks_below_four_and_a_half_grid_arrays(params):
     # 61 bins of 205 steps over 64 parts: the write holds its midpoints and
-    # two grid-length buffers on top of the shape's own temporaries; the
-    # per-step write, with copies of the node samples, three |v|^2 arrays, a
-    # photon density and an eager forcing, peaked at 5.7 grid arrays
+    # two grid-length buffers on top of the shape's own temporaries; a write
+    # that copied the node samples and built |v|^2 arrays, a photon density
+    # and an eager forcing would peak at 5.7 grid arrays
     rng = np.random.default_rng(61)
     amps = rng.normal(size=61) + 1j * rng.normal(size=61)
     f_in, write, read = _piecewise_setup(params, amps / np.linalg.norm(amps), 64, True,
