@@ -22,12 +22,14 @@ discontinuities are expected to sit on grid nodes.  To keep the genuine
 it is sampled at the midpoints, and a hair inside the step on either side
 of every breakpoint node.  Packets given only as samples have their
 midpoint values reconstructed by 4-point cubic interpolation that never
-crosses a declared breakpoint.  Those cell values give the forcing B[k] of
-the RK4 step c[k+1] = A c[k] + B[k]; the photon number and int F are
-Simpson's rule on the same values.  A quadrature over spans of steps
-(``_span_sums``: ``packet_norm``, and the write below) builds no per-step
-array: step starts and ends are the node samples shifted by one, so each
-span's sum is one node sum plus a term per breakpoint node.
+crosses a declared breakpoint.  One step model (``_steps``) serves every
+reader: step k runs from the node sample y[k] to y[k+1], except on the few
+steps ks that start on a right limit or end on a left limit at a breakpoint
+node.  The forcing B[k] of the RK4 step c[k+1] = A c[k] + B[k]
+(``_forcing``), and Simpson's rule for the photon number and int F
+(``_span_sums``: ``packet_norm`` and the write below) and for
+``packet_overlap``, read the samples and midpoints in place, with one term
+per step of ks; none copies the samples.
 The analytic packets of this package (rectangular, rising exponential, the
 time-bin qubit, the read-out) are piecewise exponentials, sampled by one
 vectorized helper with one exponential per point.
@@ -47,8 +49,8 @@ the transmitted packet is read.  Any other packet (a user shape, or samples
 only) is written on its RK4 step: from c = 0, a bin's captured amplitude is
 the weighted sum sum_k A^(e-1-k) B[k] of its steps' forcing, which
 ``_span_sums`` takes from node sums with the midpoints evaluated once; the
-cell values, the forcing and the RK4 scan that restarts at the bin edges
-are built only when the transmitted packet is read.
+forcing and the RK4 scan that restarts at the bin edges are built only
+when the transmitted packet is read.
 
 The analytic packets (``_shape_packet``), the transmitted packet and the
 read-out are lazy (``_lazy_packet``): their node samples, and the grid's
@@ -317,8 +319,8 @@ def packet_from_samples(grid: TimeGrid, samples: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Cell-wise values: start / midpoint / end of every grid step, one-sided at
-# breakpoints.  Shared by the RK4 integrator and the quadrature helpers.
+# The step model: start / midpoint / end of every grid step, one-sided at
+# breakpoints.  Shared by the RK4 forcing and the quadratures.
 # ---------------------------------------------------------------------------
 
 def _jump_nodes(grid: TimeGrid, breakpoints: tuple[float, ...]):
@@ -376,72 +378,53 @@ def _cubic_left_limit(y: np.ndarray) -> complex:
     return 2.0 * y[-1] - y[-2]
 
 
-def _one_sided(f: WavePacket):
-    """The breakpoint nodes k of a packet, increasing, with its right and
-    left limits there: the values that start the step from k and end the
-    step into k.  From ``shape``, a nudge either side of each breakpoint,
-    which may lie up to 1e-6 dt from its node; for samples only, the node
-    sample (right-sided already) and the cubic left limit of the run that
-    ends on k.  The right limit on the last node and the left limit on node
-    0 start or end no step and are not read."""
-    grid, y = f.grid, f.samples
+def _steps(f: WavePacket):
+    """The steps of a packet: its node samples y and step midpoints vm,
+    both contiguous complex arrays that are only read; the increasing steps
+    ks that start on a right limit or end on a left limit at a breakpoint
+    node; and those steps' start and end values.  Every other step k starts
+    on y[k] and ends on y[k+1].
+
+    From ``shape``, the midpoints, and the limits a nudge either side of
+    each breakpoint, which may lie up to 1e-6 dt from its node.  For samples
+    only, the right limit is the node sample (right-sided already) and, over
+    each run between breakpoint nodes, the midpoints are cubics that never
+    cross a breakpoint, a run ending on one closed by its cubic left limit.
+    """
+    grid = f.grid
+    n = grid.n_samples
+    y = np.ascontiguousarray(f.samples, dtype=complex)
     k, t = _jump_nodes(grid, f.breakpoints)
     if f.shape is not None:
         # both sides of every breakpoint in one call, in time order
         nudge = _EDGE_NUDGE * grid.dt
         both = np.asarray(f.shape(np.column_stack([t - nudge, t + nudge]).ravel()),
                           dtype=complex)
-        return k, both[1::2], both[::2]
-    right = y[k].astype(complex)
-    left = right.copy()
-    # the run that ends on a breakpoint node starts on the one before it
-    for i, (a, b) in enumerate(zip([0, *k.tolist()], k.tolist())):
-        if b > 0:
-            run = y[a:b]
-            left[i] = run[-1] if len(run) == 1 else _cubic_left_limit(run)
-    return k, right, left
-
-
-def _midpoints(f: WavePacket, k: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Step midpoint values of a packet with breakpoint nodes ``k`` and left
-    limits ``left`` there (``_one_sided``): from ``shape`` when there is one,
-    else from cubics that never cross a breakpoint, each run ending on a
-    breakpoint node closed by the left limit.  A contiguous complex array;
-    from ``shape`` it may be the callable's own, so it is only read."""
-    grid, y = f.grid, f.samples
-    n = grid.n_samples
-    if f.shape is not None:
+        right, left = both[1::2], both[::2]
         # t0 + (k + 1/2) dt, without building the grid's node times
-        t = np.arange(0.5, n - 1, dtype=float)
-        t *= grid.dt
-        t += grid.t0
-        return np.ascontiguousarray(f.shape(t), dtype=complex)
-    vm = np.empty(n - 1, dtype=complex)
-    lefts = dict(zip(k.tolist(), left.tolist()))
-    bounds = sorted(set(lefts) | {0, n - 1})
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        seg = np.append(y[a:b], lefts[b]) if b in lefts else y[a:b + 1]
-        _cubic_midpoints(seg, vm[a:b])
-    return vm
-
-
-def _cell_values(f: WavePacket):
-    """Per-step (start, mid, end) values of a packet.
-
-    Step ends come from the node samples, one-sided at breakpoint nodes;
-    midpoints from ``shape`` when there is one, else from cubics that never
-    cross a breakpoint.
-    """
-    k, right, left = _one_sided(f)
-    # midpoints before the step ends: the shape's grid-length temporaries
-    # are freed before the two copies are made, which lowers peak memory
-    vm = _midpoints(f, k, left)
-    y, n = f.samples, f.grid.n_samples
-    v0 = y[:-1].astype(complex)
-    v1 = y[1:].astype(complex)
-    v0[k[k < n - 1]] = right[k < n - 1]
-    v1[k[k > 0] - 1] = left[k > 0]
-    return v0, vm, v1
+        tm = np.arange(0.5, n - 1, dtype=float)
+        tm *= grid.dt
+        tm += grid.t0
+        vm = np.ascontiguousarray(f.shape(tm), dtype=complex)
+    else:
+        right, left = y[k], y[k]
+        vm = np.empty(n - 1, dtype=complex)
+        # the run that ends on a breakpoint node starts on the one before it
+        for i, (a, b) in enumerate(zip([0, *k.tolist()], [*k.tolist(), n - 1])):
+            if b == a:
+                continue
+            seg = y[a:b + 1]
+            if i < len(k):
+                left[i] = seg[0] if b - a == 1 else _cubic_left_limit(seg[:-1])
+                seg = np.append(seg[:-1], left[i])
+            _cubic_midpoints(seg, vm[a:b])
+    starts, ends = k < n - 1, k > 0
+    # a set, not np.union1d, whose np.unique imports numpy.ma (13 ms)
+    ks = np.array(sorted({*k[starts].tolist(), *(k[ends] - 1).tolist()}), dtype=np.int64)
+    v0, v1 = y[ks], y[ks + 1]
+    v0[np.searchsorted(ks, k[starts])] = right[starts]
+    v1[np.searchsorted(ks, k[ends] - 1)] = left[ends]
+    return y, vm, ks, (v0, v1)
 
 
 def _abs2(v: np.ndarray) -> np.ndarray:
@@ -459,21 +442,18 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     the last span, past at[-1], has none.
 
     No per-step array is built.  A step starts on its first node's sample
-    and ends on the next one's, except at a breakpoint node, where it starts
-    on the right limit and ends on the left limit.  So a span's sums over
-    its step starts and over its step ends are one node sum Y = sum y_k
-    (np.add.reduceat over y, or over the float pairs of y squared for |y|^2)
-    plus one term per breakpoint node, the ends' shifted by one node:
-    Y - y_a + y_e.  The capture regroups the same way: with G = sum
+    and ends on the next one's, except on the steps ks of ``_steps``.  So a
+    span's sums over its step starts and over its step ends are one node
+    sum Y = sum y_k (np.add.reduceat over y, or over the float pairs of y
+    squared for |y|^2), the ends' shifted by one node, Y - y_a + y_e, plus
+    one term per step of ks.  The capture regroups the same way: with G = sum
     A^(e-1-k) y_k, H = sum A^(e-1-k) vm_k over the midpoints vm, evaluated
     once, and B[k] = (h s / 6)(w0 v0[k] + wm vm[k] + v1[k]), it is
 
         (h s / 6)(w0 G + wm H + y_e + A (G - A^(e-1-a) y_a) + jump terms).
     """
     grid = f.grid
-    y = np.ascontiguousarray(f.samples, dtype=complex)
-    k, right, left = _one_sided(f)
-    vm = _midpoints(f, k, left)
+    y, vm, ks, (v0, v1) = _steps(f)
     at = np.asarray(at, dtype=np.int64)
     steps = grid.n_samples - 1
     bounds = at if at[-1] == steps else np.append(at, steps)
@@ -486,19 +466,13 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     vm_sq = np.add.reduceat(np.square(vm.view(float), out=pairs), 2 * a)
     y_sum, vm_sum = np.add.reduceat(y[:steps], a), np.add.reduceat(vm, a)
     y_a, y_e = y[a], y[e]
-    # one term per breakpoint node k: the step from k starts on the right
-    # limit, the step into k ends on the left limit
-    starts, ends = k < steps, k > 0
-    k0, k1 = k[starts], k[ends]
-    step = np.concatenate([k0, k1 - 1])
-    span = np.searchsorted(bounds, step, side="right") - 1
-    limit = np.concatenate([right[starts], left[ends]])
-    node = y[np.concatenate([k0, k1])]
-    jump = limit - node
+    # one term per step of ks: its start and end less its node samples
+    span = np.searchsorted(bounds, ks, side="right") - 1
+    d0, d1 = v0 - y[ks], v1 - y[ks + 1]
     jump_sum = np.zeros(len(a), dtype=complex)
-    np.add.at(jump_sum, span, jump)
+    np.add.at(jump_sum, span, d0 + d1)
     jump_sq = np.zeros(len(a))
-    np.add.at(jump_sq, span, _abs2(limit) - _abs2(node))
+    np.add.at(jump_sq, span, (_abs2(v0) - _abs2(y[ks])) + (_abs2(v1) - _abs2(y[ks + 1])))
     photons = ((grid.dt / 6.0) / p.tau_E) * (
         2.0 * y_sq - _abs2(y_a) + _abs2(y_e) + 4.0 * vm_sq + jump_sq)
     flux = (grid.dt / 6.0) * (2.0 * y_sum - y_a + y_e + 4.0 * vm_sum + jump_sum)
@@ -517,10 +491,9 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     big_h = np.add.reduceat(np.multiply(vm[:end], w, out=buf[:end]), a[:n_at])
     captured = (w0 * big_g + wm * big_h + y_e[:n_at]
                 + big_a * (big_g - table[spans - 1] * y_a[:n_at]))
-    # a right limit enters its step's forcing with w0, a left limit with 1
-    jump[:len(k0)] *= w0
+    # a step's start enters its forcing with w0, its end with 1
     on = span < n_at
-    np.add.at(captured, span[on], jump[on] * table[e[span[on]] - 1 - step[on]])
+    np.add.at(captured, span[on], (w0 * d0[on] + d1[on]) * table[e[span[on]] - 1 - ks[on]])
     return photons, flux, captured * (s * grid.dt / 6.0)
 
 
@@ -530,18 +503,30 @@ def packet_norm(f: WavePacket, p: EnsembleParams) -> float:
 
 
 def packet_overlap(f: WavePacket, g: WavePacket, p: EnsembleParams) -> complex:
-    """Inner product (1/tau_E) int conj(F) G dt on a common grid."""
+    """Inner product (1/tau_E) int conj(F) G dt on a common grid: Simpson's
+    rule on each step (``_steps``), as node sums plus a term per step that
+    either packet starts or ends on a limit."""
     _require_same_grid(f.grid, g.grid)
-    f0, fm, f1 = _cell_values(f)
-    g0, gm, g1 = _cell_values(g)
-    total = (f.grid.dt / 6.0) * np.sum(
-        np.conj(f0) * g0 + 4.0 * (np.conj(fm) * gm) + np.conj(f1) * g1)
-    return complex(total) / p.tau_E
+    fy, fm, fk, f_ends = _steps(f)
+    gy, gm, gk, g_ends = _steps(g)
+    total = (2.0 * np.vdot(fy, gy) - np.conj(fy[0]) * gy[0] - np.conj(fy[-1]) * gy[-1]
+             + 4.0 * np.vdot(fm, gm))
+    # on the steps either packet has limits on, their product replaces that
+    # of the samples: at the step starts (i = 0), then at the step ends
+    ks = np.array(sorted({*fk.tolist(), *gk.tolist()}), dtype=np.int64)
+    for i in (0, 1):
+        fv, gv = fy[ks + i], gy[ks + i]
+        total -= np.vdot(fv, gv)
+        fv[np.searchsorted(ks, fk)], gv[np.searchsorted(ks, gk)] = f_ends[i], g_ends[i]
+        total += np.vdot(fv, gv)
+    return complex((f.grid.dt / 6.0) * total) / p.tau_E
 
 
 def _require_one_photon(norm: float) -> float:
-    if norm > 1.0 + 1e-6:
-        raise DomainError(f"packet norm {norm} exceeds one photon")
+    # written so that a NaN norm fails it too
+    if not norm <= 1.0 + 1e-6:
+        raise DomainError(f"packet norm {norm} exceeds one photon" if norm > 1.0
+                          else f"packet norm {norm} is not finite")
     return norm
 
 
@@ -594,6 +579,15 @@ def _rk4_forcing(cell_values, h: float, p: EnsembleParams):
     return big_a, big_b
 
 
+def _forcing(f: WavePacket, p: EnsembleParams):
+    """A and the forcing B[k] of a packet's RK4 steps (``_steps``), built on
+    its node samples and midpoints and overwritten on the steps ks."""
+    y, vm, ks, (v0, v1) = _steps(f)
+    big_a, big_b = _rk4_forcing((y[:-1], vm, y[1:]), f.grid.dt, p)
+    big_b[ks] = _rk4_forcing((v0, vm[ks], v1), f.grid.dt, p)[1]
+    return big_a, big_b
+
+
 def _scan_block(big_a, n: int) -> int:
     """The scan's block length over n steps: the largest L with |A|^-L <= e,
     at most n (at least 1)."""
@@ -642,9 +636,11 @@ def _rk4_recurrence(big_a, big_b: np.ndarray, c0, restarts=()) -> np.ndarray:
 
 def evolve_amplitude(f_in: WavePacket, c0: complex, p: EnsembleParams) -> AmplitudeTrajectory:
     """Integrate dc/dt = -c/(2 tau_R) - F_in/sqrt(tau_R tau_E) from c(t0)=c0."""
-    if abs(c0) > 1.0 + 1e-9:
-        raise DomainError(f"|c0| = {abs(c0)} exceeds 1")
-    big_a, big_b = _rk4_forcing(_cell_values(f_in), f_in.grid.dt, p)
+    # written so that a NaN c0 fails it too
+    if not abs(c0) <= 1.0 + 1e-9:
+        raise DomainError(f"|c0| = {abs(c0)} exceeds 1" if abs(c0) > 1.0
+                          else f"c0 = {c0} is not finite")
+    big_a, big_b = _forcing(f_in, p)
     return AmplitudeTrajectory(f_in.grid, _rk4_recurrence(big_a, big_b, c0))
 
 
@@ -798,8 +794,8 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
     other packet takes all four from the node sums of ``_span_sums``, one
     span per bin and one for a grid tail past the last edge, which counts
     in the input's photon number only; it builds no per-step array.  The
-    sampler holds the packet, not its forcing: it builds the cell values and
-    the forcing, and runs one RK4 scan with ``restarts=edges``.
+    sampler holds the packet, not its forcing: it builds the forcing
+    (``_forcing``) and runs one RK4 scan with ``restarts=edges``.
     """
     grid = f.grid
     if isinstance(f.shape, _Pieces):
@@ -822,7 +818,7 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
 
         def c_nodes():
             # the scan, restarting at the bin edges, runs only when c is read
-            big_a, big_b = _rk4_forcing(_cell_values(f), grid.dt, p)
+            big_a, big_b = _forcing(f, p)
             c = _rk4_recurrence(big_a, big_b, 0.0, edges)
             c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
             return c

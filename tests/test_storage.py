@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subradiance import (ModeLedger, PlanError, SignPattern, TimeGrid, end_to_end,
-                         make_grid, packet_from_samples, packet_norm, plan_passive,
-                         plan_read, plan_write, WavePacket, rectangular_packet,
-                         rising_exponential, simulate_read, simulate_write,
-                         timebin_qubit_fidelity, timebin_qubit_report, verify_plan)
+from subradiance import (DomainError, ModeLedger, PlanError, SignPattern, TimeGrid,
+                         end_to_end, make_grid, packet_from_samples, packet_norm,
+                         plan_passive, plan_read, plan_write, WavePacket,
+                         rectangular_packet, rising_exponential, simulate_read,
+                         simulate_write, timebin_qubit_fidelity, timebin_qubit_report,
+                         verify_plan)
 from subradiance import dynamics, schedule, storage
 
 
@@ -292,6 +293,17 @@ def test_write_requires_events_on_grid(params):
     off = plan_write(4, 3, 2.5 * params.tau_R * 1.0001)
     with pytest.raises(PlanError):
         simulate_write(f_in, off, params)
+
+
+def test_a_packet_with_a_nan_sample_is_refused(params):
+    # a NaN photon number fails the one-photon check instead of giving NaN
+    # efficiencies
+    f_in, write, read = _rect_setup(params)
+    samples = f_in.samples.copy()
+    samples[100] = np.nan
+    f_nan = packet_from_samples(f_in.grid, samples, f_in.breakpoints)
+    with pytest.raises(DomainError, match="packet norm nan is not finite"):
+        end_to_end(f_nan, write, read, params)
 
 
 def test_write_rejects_two_events_on_one_node(params):
@@ -838,7 +850,7 @@ def _eager_transmitted(f_in, write, params):
         seg = dynamics._segments(f_in.shape, params, grid, [grid.t0, *ends])
         c = dynamics._segment_nodes(seg, params, f_in)
     else:
-        big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
+        big_a, big_b = dynamics._forcing(f_in, params)
         c = dynamics._rk4_recurrence(big_a, big_b, 0.0, edges)
         c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
     c *= math.sqrt(params.tau_E / params.tau_R)
@@ -886,7 +898,7 @@ def _assert_bins_restart(params, monkeypatch, write, grid):
     ledger, transmitted = simulate_write(f_in, write, params)
     assert calls == []
     transmitted.samples
-    big_a, big_b = dynamics._rk4_forcing(dynamics._cell_values(f_in), grid.dt, params)
+    big_a, big_b = dynamics._forcing(f_in, params)
     edges = storage._bin_edges(grid, write)
     assert calls == [(grid.n_samples - 1, edges)]
     # the reference: each span integrated alone from zero
