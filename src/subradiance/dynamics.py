@@ -419,11 +419,12 @@ def _steps(f: WavePacket):
                 seg = np.append(seg[:-1], left[i])
             _cubic_midpoints(seg, vm[a:b])
     starts, ends = k < n - 1, k > 0
+    k0, k1 = k[starts], k[ends] - 1
     # a set, not np.union1d, whose np.unique imports numpy.ma (13 ms)
-    ks = np.array(sorted({*k[starts].tolist(), *(k[ends] - 1).tolist()}), dtype=np.int64)
+    ks = np.array(sorted({*k0.tolist(), *k1.tolist()}), dtype=np.int64)
     v0, v1 = y[ks], y[ks + 1]
-    v0[np.searchsorted(ks, k[starts])] = right[starts]
-    v1[np.searchsorted(ks, k[ends] - 1)] = left[ends]
+    v0[np.searchsorted(ks, k0)] = right[starts]
+    v1[np.searchsorted(ks, k1)] = left[ends]
     return y, vm, ks, (v0, v1)
 
 
@@ -468,11 +469,12 @@ def _span_sums(f: WavePacket, p: EnsembleParams, at, rk4=None):
     y_a, y_e = y[a], y[e]
     # one term per step of ks: its start and end less its node samples
     span = np.searchsorted(bounds, ks, side="right") - 1
-    d0, d1 = v0 - y[ks], v1 - y[ks + 1]
+    y0, y1 = y[ks], y[ks + 1]
+    d0, d1 = v0 - y0, v1 - y1
     jump_sum = np.zeros(len(a), dtype=complex)
     np.add.at(jump_sum, span, d0 + d1)
     jump_sq = np.zeros(len(a))
-    np.add.at(jump_sq, span, (_abs2(v0) - _abs2(y[ks])) + (_abs2(v1) - _abs2(y[ks + 1])))
+    np.add.at(jump_sq, span, (_abs2(v0) - _abs2(y0)) + (_abs2(v1) - _abs2(y1)))
     photons = ((grid.dt / 6.0) / p.tau_E) * (
         2.0 * y_sq - _abs2(y_a) + _abs2(y_e) + 4.0 * vm_sq + jump_sq)
     flux = (grid.dt / 6.0) * (2.0 * y_sum - y_a + y_e + 4.0 * vm_sum + jump_sum)
