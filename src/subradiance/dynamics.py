@@ -409,7 +409,8 @@ def _steps(f: WavePacket):
     else:
         right, left = y[k], y[k]
         vm = np.empty(n - 1, dtype=complex)
-        # the run that ends on a breakpoint node starts on the one before it
+        # the runs between breakpoint nodes; one that ends on such a node is
+        # closed by its cubic left limit there
         for i, (a, b) in enumerate(zip([0, *k.tolist()], [*k.tolist(), n - 1])):
             if b == a:
                 continue
