@@ -43,14 +43,15 @@ propagator.  ``evolve_amplitude`` and ``forward_scatter`` stay on RK4.
 
 The write of ``storage`` is one call, ``_bins_from_zero``: c starts from 0
 and restarts from 0 at every bin edge.  A piecewise-exponential packet is
-written from its pieces in O(pieces + bins) scalar steps; c on the nodes
-(``_segment_nodes``, O(samples)) is left to a sampler that runs only when
-the transmitted packet is read.  Any other packet (a user shape, or samples
-only) is written on its RK4 step: from c = 0, a bin's captured amplitude is
-the weighted sum sum_k A^(e-1-k) B[k] of its steps' forcing, which
-``_span_sums`` takes from node sums with the midpoints evaluated once; the
-forcing and the RK4 scan that restarts at the bin edges are built only
-when the transmitted packet is read.
+written in one pass over its segments, O(pieces + bins) scalar steps, in
+which each bin's photon number, int F and captured amplitude build up; c on
+the nodes (``_segment_nodes``, O(samples)) is left to a sampler that runs
+only when the transmitted packet is read.  Any other packet (a user shape,
+or samples only) is written on its RK4 step: from c = 0, a bin's captured
+amplitude is the weighted sum sum_k A^(e-1-k) B[k] of its steps' forcing,
+which ``_span_sums`` takes from node sums with the midpoints evaluated
+once; the forcing and the RK4 scan that restarts at the bin edges are
+built only when the transmitted packet is read.
 
 The analytic packets (``_shape_packet``), the transmitted packet and the
 read-out are lazy (``_lazy_packet``): their node samples, and the grid's
@@ -103,6 +104,8 @@ __all__ = [
 # Endpoint values of each RK step are sampled this far inside the step so
 # that jumps sitting exactly on a node resolve to the correct one-sided limit.
 _EDGE_NUDGE = 1e-7
+# A time within this many steps dt of a grid node sits on that node.
+_NODE_TOL = 1e-6
 
 DEFAULT_STEPS_PER_TAU_R = 200
 MAX_DT_IN_TAU_R = 1.0 / 20.0
@@ -144,7 +147,7 @@ class TimeGrid:
         # an infinite time gives inf - inf = nan below, which is off the grid
         with np.errstate(invalid="ignore"):
             on = (k >= 0) & (k < self.n_samples) & (np.abs(self.t0 + k * self.dt - t)
-                                                     <= 1e-6 * self.dt)
+                                                     <= _NODE_TOL * self.dt)
         return np.where(on, k, -1).astype(np.int64)
 
     def index_of(self, t: float) -> int:
@@ -666,35 +669,35 @@ def forward_scatter(f_in: WavePacket, p: EnsembleParams) -> WavePacket:
 # Exact propagation of piecewise-exponential packets, and the closed forms
 # ---------------------------------------------------------------------------
 
-def _phi(x: np.ndarray) -> np.ndarray:
+def _phi(x: float) -> float:
     """expm1(x)/x, 1 at x = 0: exact near 0, and never overflows for x <= 0."""
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
+    return math.expm1(x) / x if x else 1.0
 
 
 @dataclass(frozen=True)
 class _Segments:
     """The local law integrated exactly over segments [bounds[i], bounds[i+1]],
-    on each of which the input is one piece F(t) = F(s) e^{(t - s)/tau}."""
+    on each of which the input is one piece F(t) = F(s) e^{(t - s)/tau}, and
+    its sums over each span between cuts (``_segments``)."""
 
-    bounds: np.ndarray
-    rate: np.ndarray  # 1/tau + 1/2tau_R
-    f_start: np.ndarray  # F at the segment's start
-    c_start: np.ndarray  # c at the start, 0 after a cut
-    c_end: np.ndarray  # left limit of c at the end
-    photons: np.ndarray  # (1/tau_E) int |F|^2
-    flux: np.ndarray  # int F
+    bounds: list[float]
+    rate: list[float]  # 1/tau + 1/2tau_R
+    f_start: list[complex]  # F at the segment's start
+    c_start: list[complex]  # c at the start, 0 after a cut
+    photons: list[float]  # per span: (1/tau_E) int |F|^2
+    flux: list[complex]  # per span: int F
+    captured: list[complex]  # per span: the left limit of c at its end
 
 
 def _segments(pieces: _Pieces, p: EnsembleParams, grid: TimeGrid,
               cut_times) -> _Segments:
-    """Integrate the local law from t0 to the grid end in O(pieces + cuts)
-    scalar steps.  Segments start at the piece starts inside the grid and at
-    the cuts, on grid nodes from the grid start on, where c restarts from 0;
-    a cut on the last node ends the last segment.  From the start s of a
-    segment, with lag D = t - s and rate r = 1/tau + 1/2tau_R,
+    """Integrate the local law from t0 to the grid end in one pass over the
+    segments in time order, O(pieces + cuts) scalar steps.  Segments start at
+    the piece starts inside the grid and at the cuts, on grid nodes from the
+    grid start on, where c restarts from 0 and a span opens that runs to the
+    next cut or the grid end; a cut on the last node ends the last segment.
+    From the start s of a segment, with lag D = t - s and rate
+    r = 1/tau + 1/2tau_R,
 
         c(t) = e^{-D/2tau_R} c(s) - F(t) D phi(-r D) / sqrt(tau_R tau_E),
 
@@ -702,43 +705,47 @@ def _segments(pieces: _Pieces, p: EnsembleParams, grid: TimeGrid,
     F(s) e^{-D/2tau_R} D phi(r D).  Every exponential has a non-positive
     argument, so a resonant piece (tau = -2 tau_R) and very long pieces need
     no special case."""
-    cut_times = np.asarray(cut_times, dtype=float)
-    cuts = grid.nodes_of(cut_times)
+    cuts = grid.nodes_of(cut_times).tolist()
     end = cut_times[-1] if cuts[-1] == grid.n_samples - 1 else grid.t_end
     # a piece start on a cut's node starts at the cut, as the node's
     # right-sided sample does
-    starts = pieces.starts.copy()
-    k = grid.nodes_of(starts)
-    hit = np.isin(k, cuts)
-    starts[hit] = cut_times[np.searchsorted(cuts, k[hit])]
-    bounds = np.unique(np.concatenate([
-        cut_times, starts[(starts > grid.t0) & (starts < end)], [end]]))
-    s, e = bounds[:-1], bounds[1:]
-    j = np.searchsorted(starts, s, side="right") - 1
-    amp, tau, ref = pieces.amps[j], pieces.taus[j], pieces.refs[j]
-    width = e - s
+    cut_at = dict(zip(cuts, cut_times))
+    starts = [cut_at.get(k, t) for k, t in zip(grid.nodes_of(pieces.starts).tolist(),
+                                                pieces.starts.tolist())]
+    bounds = sorted({*cut_times, *(t for t in starts if grid.t0 < t < end), end})
+    amps, taus, refs = pieces.amps.tolist(), pieces.taus.tolist(), pieces.refs.tolist()
+    opens = set(cut_times)
     two_tr = 2.0 * p.tau_R
-    f_s = amp * np.exp((s - ref) / tau)
-    f_e = amp * np.exp((e - ref) / tau)
-    decay = np.exp(-width / two_tr)
-    rate = 1.0 / tau + 1.0 / two_tr
-    # each integral is taken from the end where the exponential is largest
-    big = np.where(tau > 0, f_e, f_s)
-    photons = np.abs(big) ** 2 * width * _phi(-np.abs(2.0 * width / tau)) / p.tau_E
-    flux = big * width * _phi(-np.abs(width / tau))
-    kick = (np.where(rate >= 0, f_e, f_s * decay) * width * _phi(-np.abs(rate * width))
-            / -math.sqrt(p.tau_R * p.tau_E))
-    reset = np.isin(s, cut_times).tolist()
-    c_start, c_end = [], []
-    c = 0j
-    for restart, d, dc in zip(reset, decay.tolist(), kick.tolist()):
-        if restart:
+    g = -1.0 / math.sqrt(p.tau_R * p.tau_E)
+    rate, f_start, c_start = [], [], []
+    photons, flux, captured = [], [], []
+    j, c = 0, 0j
+    for s, e in zip(bounds, bounds[1:]):
+        # the piece is the last one to start by s
+        while j + 1 < len(starts) and starts[j + 1] <= s:
+            j += 1
+        if s in opens:
+            photons.append(0.0)
+            flux.append(0j)
+            captured.append(0j)
             c = 0j
+        amp, tau, ref = amps[j], taus[j], refs[j]
+        width = e - s
+        f_s = amp * math.exp((s - ref) / tau)
+        f_e = amp * math.exp((e - ref) / tau)
+        decay = math.exp(-width / two_tr)
+        r = 1.0 / tau + 1.0 / two_tr
+        # each integral is taken from the end where the exponential is largest
+        big = f_e if tau > 0 else f_s
+        photons[-1] += abs(big) ** 2 * width * _phi(-abs(2.0 * width / tau)) / p.tau_E
+        flux[-1] += big * width * _phi(-abs(width / tau))
+        rate.append(r)
+        f_start.append(f_s)
         c_start.append(c)
-        c = d * c + dc
-        c_end.append(c)
-    return _Segments(bounds, rate, f_s, np.array(c_start), np.array(c_end),
-                     photons, flux)
+        forced = f_e if r >= 0 else f_s * decay
+        c = decay * c + forced * width * _phi(-abs(r * width)) * g
+        captured[-1] = c
+    return _Segments(bounds, rate, f_start, c_start, photons, flux, captured)
 
 
 def _segment_nodes(seg: _Segments, p: EnsembleParams, f: WavePacket) -> np.ndarray:
@@ -750,8 +757,8 @@ def _segment_nodes(seg: _Segments, p: EnsembleParams, f: WavePacket) -> np.ndarr
     limit."""
     grid, samples, times = f.grid, f.samples, f.grid.times
     n = grid.n_samples
-    s = seg.bounds[:-1]
-    first = np.clip(np.ceil((s - grid.t0) / grid.dt - 1e-6), 0, n - 1).astype(np.int64)
+    s = np.array(seg.bounds[:-1])
+    first = np.clip(np.ceil((s - grid.t0) / grid.dt - _NODE_TOL), 0, n - 1).astype(np.int64)
     two_tr = 2.0 * p.tau_R
     g = 1.0 / math.sqrt(p.tau_R * p.tau_E)
     c = np.empty(n, dtype=complex)
@@ -774,8 +781,8 @@ def _segment_nodes(seg: _Segments, p: EnsembleParams, f: WavePacket) -> np.ndarr
         if seg.c_start[i]:
             c[a:b] += np.exp(lag / -two_tr) * seg.c_start[i]
     on = grid.nodes_of(s)
-    c[on[on >= 0]] = seg.c_start[on >= 0]
-    c[-1] = seg.c_end[-1]
+    c[on[on >= 0]] = np.array(seg.c_start)[on >= 0]
+    c[-1] = seg.captured[-1]
     return c
 
 
@@ -791,33 +798,26 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
 
     Returns the input's photon number; a sampler that returns c on the
     nodes as a fresh array, 0 on each bin-start node and the left limit on
-    the last; and each bin's captured amplitude (the left limit of c at its
-    end), photon number and int F.  Exact for a piecewise-exponential
+    the last; and lists of each bin's captured amplitude (the left limit of
+    c at its end), photon number and int F.  Both paths sum per span: one
+    per bin and one for a grid tail past the last edge, which counts in the
+    input's photon number only.  Exact for a piecewise-exponential
     ``f.shape`` (``_segments``; the sampler runs ``_segment_nodes``).  Any
-    other packet takes all four from the node sums of ``_span_sums``, one
-    span per bin and one for a grid tail past the last edge, which counts
-    in the input's photon number only; it builds no per-step array.  The
-    sampler holds the packet, not its forcing: it builds the forcing
-    (``_forcing``) and runs one RK4 scan with ``restarts=edges``.
+    other packet takes the sums from ``_span_sums``, with no per-step array;
+    its sampler builds the forcing (``_forcing``) and runs one RK4 scan with
+    ``restarts=edges``.
     """
     grid = f.grid
+    _require_fine_grid(grid.dt, p)
     if isinstance(f.shape, _Pieces):
         # bins end on the pulses' own times, within 1e-6 dt of their nodes
-        cut_times = [grid.t0, *ends]
-        seg = _segments(f.shape, p, grid, cut_times)
-        in_norm = _require_one_photon(float(np.sum(seg.photons)))
-        _require_fine_grid(grid.dt, p)
+        seg = _segments(f.shape, p, grid, [grid.t0, *ends])
+        photons, flux, captured = seg.photons, seg.flux, seg.captured
         c_nodes = partial(_segment_nodes, seg, p, f)
-        # the segments of bin n run from the n-th cut to the next one
-        at = np.searchsorted(seg.bounds, cut_times)
-        captured = seg.c_end[at[1:] - 1]
-        photons, flux = _bin_sums(seg.photons, at), _bin_sums(seg.flux, at)
     else:
-        # bin n holds the steps from the n-th edge node to the next; a grid
-        # tail past the last edge counts in the input's norm only
-        photons, flux, captured = _span_sums(f, p, [0, *edges], _rk4_weights(grid.dt, p))
-        in_norm = _require_one_photon(float(np.sum(photons)))
-        photons, flux = photons[:len(edges)], flux[:len(edges)]
+        # bin n holds the steps from the n-th edge node to the next
+        sums = _span_sums(f, p, [0, *edges], _rk4_weights(grid.dt, p))
+        photons, flux, captured = (v.tolist() for v in sums)
 
         def c_nodes():
             # the scan, restarting at the bin edges, runs only when c is read
@@ -825,12 +825,9 @@ def _bins_from_zero(f: WavePacket, p: EnsembleParams, edges: list[int], ends):
             c = _rk4_recurrence(big_a, big_b, 0.0, edges)
             c[[k for k in edges if k < grid.n_samples - 1]] = 0.0
             return c
-    return in_norm, c_nodes, captured, photons.tolist(), flux.tolist()
-
-
-def _bin_sums(v: np.ndarray, at) -> np.ndarray:
-    """Sums of ``v`` over entries at[n] .. at[n+1] - 1, one per bin n."""
-    return np.add.reduceat(v[:at[-1]], at[:-1]) if len(at) > 1 else np.zeros(0)
+    in_norm = _require_one_photon(float(np.sum(photons)))
+    n = len(edges)
+    return in_norm, c_nodes, captured[:n], photons[:n], flux[:n]
 
 
 def closed_form_rectangular(tau_ph: float, p: EnsembleParams,

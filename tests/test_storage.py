@@ -615,6 +615,19 @@ def test_exact_write_of_rectangular_fronts_mid_bin(params):
     for start, length in ((grid.n_samples // 7, 3.3), (0, 4.1), (613, 0.9)):
         f_in = rectangular_packet(params, grid, length * bd, grid.times[start])
         _assert_paths_agree(f_in, write, params)
+    # 63 bins with a front inside each, at a random node, and a complex level
+    # from each front on: the cuts and the piece starts interleave 63 times
+    write = plan_write(64, 63, bd)
+    grid = make_grid(params, write.t_end)
+    steps = round(bd / grid.dt)
+    rng = np.random.default_rng(63)
+    starts = grid.times[steps * np.arange(63) + rng.integers(1, steps, size=63)]
+    levels = rng.normal(size=63) + 1j * rng.normal(size=63)
+    # no piece is longer than two bins: under one photon
+    levels *= math.sqrt(params.tau_E / (2 * bd)) / np.linalg.norm(levels)
+    shape = dynamics._exp_pieces(starts, levels, [math.inf] * 63, starts)
+    f_in = dynamics._shape_packet(grid, shape, tuple(starts.tolist()))
+    _assert_paths_agree(f_in, write, params)
 
 
 def test_exact_write_of_rising_exponentials_and_qubits(params):
