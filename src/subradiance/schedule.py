@@ -400,14 +400,22 @@ def _verify_write(plan: PulsePlan) -> PlanReport:
     return PlanReport(not violations, tuple(violations), _rows=rows, _end=write_end)
 
 
+def _wrong_stage(plan: PulsePlan, want: str) -> str | None:
+    """Why ``plan`` is not a ``want`` ('write' or 'read') plan, active or
+    passive, or None when it is one."""
+    stage = plan.stage.removeprefix("passive_")
+    if want == "write" and stage != "write":
+        return f"write plan has stage {plan.stage!r}, want 'write' or 'passive_write'"
+    if want == "read" and stage not in ("read", "read_reversed"):
+        return (f"read plan has stage {plan.stage!r}, want 'read', 'read_reversed' "
+                "or a passive form of them")
+    return None
+
+
 def _verify_read(plan: PulsePlan, write: PulsePlan, report: PlanReport) -> PlanReport:
     """The read half of ``verify_plan``, on the ``report`` of ``write``."""
-    if plan.stage.removeprefix("passive_") not in ("read", "read_reversed"):
-        return PlanReport(False, (f"read plan has stage {plan.stage!r}, want 'read', "
-                                  "'read_reversed' or a passive form of them",))
-    if write.stage.removeprefix("passive_") != "write":
-        return PlanReport(False, (f"write plan has stage {write.stage!r}, want "
-                                  "'write' or 'passive_write'",))
+    if wrong := _wrong_stage(plan, "read") or _wrong_stage(write, "write"):
+        return PlanReport(False, (wrong,))
     if write.parts != plan.parts:
         return PlanReport(False, (f"read plan has {plan.parts} parts, its write "
                                   f"plan {write.parts}",))

@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket, _bins_from_zero,
-                       _exp_pieces, _lazy_packet, _shape_packet, make_grid)
+from .dynamics import (_NODE_TOL, DEFAULT_STEPS_PER_TAU_R, TimeGrid, WavePacket,
+                       _bins_from_zero, _exp_pieces, _lazy_packet, _shape_packet, make_grid)
 from .errors import PlanError
 from .params import EnsembleParams
-from .schedule import (PlanReport, PulsePlan, _verify_read, plan_read, plan_write,
-                       verify_plan)
+from .schedule import (PlanReport, PulsePlan, _verify_read, _wrong_stage, plan_read,
+                       plan_write, verify_plan)
 from .states import SignPattern
 
 __all__ = [
@@ -146,10 +146,15 @@ class StorageReport:
     input_norm: float
 
 
+def _bin_events(plan: PulsePlan) -> tuple[float, ...]:
+    """The plan's last ``plan.bins`` event times: the write bins' ends or the
+    read slots' starts (a passive write's opening closes no bin)."""
+    return plan.times[len(plan.times) - plan.bins:]
+
+
 def _bin_edges(grid: TimeGrid, plan: PulsePlan) -> list[int]:
-    """Grid indices of the plan's last ``plan.bins`` events: the write bins'
-    ends or the read slots' starts (a passive write's opening closes no bin)."""
-    times = plan.times[len(plan.times) - plan.bins:]
+    """Grid indices of the plan's bin events (``_bin_events``)."""
+    times = _bin_events(plan)
     edges = grid.nodes_of(times).tolist()
     if -1 in edges:
         raise PlanError(f"plan events must sit on grid nodes: time "
@@ -199,19 +204,18 @@ def _write(f_in: WavePacket, plan: PulsePlan, p: EnsembleParams,
     """Verify and write: the plan's report, the stored amplitudes (bin n at
     index n - 1), the transmitted packet, the input norm and the input's bin
     amplitudes; the store is held to ``until``, by default the grid's end."""
-    if plan.stage.removeprefix("passive_") != "write":
-        raise PlanError(f"write plan has stage {plan.stage!r}, want 'write' or "
-                        "'passive_write'")
+    if wrong := _wrong_stage(plan, "write"):
+        raise PlanError(wrong)
     report = _require_ok(verify_plan(plan))
     grid = f_in.grid
     edges = _bin_edges(grid, plan)
     if edges and edges[0] == 0:
         raise PlanError("first write pulse coincides with the grid start")
     in_norm, c_nodes, captured, numbers, sums = _bins_from_zero(
-        f_in, p, edges, plan.times[len(plan.times) - plan.bins:])
+        f_in, p, edges, _bin_events(plan))
     held = (grid.n_samples - 1 - np.array(edges)) * grid.dt
-    # a time within 1e-6 dt of the grid's end is the end, as for grid nodes
-    if until is not None and abs(until - grid.t_end) > 1e-6 * grid.dt:
+    # a time within _NODE_TOL dt of the grid's end is the end, as for grid nodes
+    if until is not None and abs(until - grid.t_end) > _NODE_TOL * grid.dt:
         held += until - grid.t_end
     stored = (np.array(captured, dtype=complex)
               * np.exp(-loss_rate * held / 2.0)
@@ -252,9 +256,8 @@ def simulate_read(
     samples are built on first read; the read grid's size is checked at
     once.  The caller's ledger is left untouched.
     """
-    if plan.stage.removeprefix("passive_") not in ("read", "read_reversed"):
-        raise PlanError(f"read plan has stage {plan.stage!r}, want 'read', "
-                        "'read_reversed' or a passive form of them")
+    if wrong := _wrong_stage(plan, "read"):
+        raise PlanError(wrong)
     report = _require_ok(verify_plan(plan, write_plan))
     if not np.array_equal(ledger._product, report._end):
         raise PlanError("ledger was not written by the read plan's write plan")
@@ -310,9 +313,10 @@ def end_to_end(
     starts after it.  ``captured`` and ``write_efficiency`` are the store as
     of t_1.  A read that starts before the last write pulse is a PlanError.
     """
-    slots = read_plan.times[len(read_plan.times) - read_plan.bins:]
+    slots = _bin_events(read_plan)
     # a read before the write's last pulse would be held for negative times
-    if slots and write_plan.times and slots[0] < write_plan.times[-1] - 1e-6 * f_in.grid.dt:
+    if (slots and write_plan.times
+            and slots[0] < write_plan.times[-1] - _NODE_TOL * f_in.grid.dt):
         raise PlanError(f"read starts at {slots[0]}, before the last write pulse at "
                         f"{write_plan.times[-1]}")
     wrep, stored, transmitted, in_norm, f_bins = _write(
