@@ -303,10 +303,10 @@ class FullBasisState:
 
     def excitation_number(self) -> int:
         index, values = self._support
-        present = np.unique(np.bitwise_count(index[np.abs(values) > _AMP_TOL]))
-        if len(present) != 1:
+        counts = np.bitwise_count(index[np.abs(values) > _AMP_TOL])
+        if not len(counts) or counts.min() != counts.max():
             raise DomainError("state does not have a definite excitation number")
-        return int(present[0])
+        return int(counts[0])
 
 
 def _part_masks(partition: Partition) -> list[int]:

@@ -350,6 +350,34 @@ def test_cli_import_needs_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_no_scenario_and_no_oracle_rate_imports_numpy_ma(tmp_path):
+    # numpy loads numpy.ma (13 ms) on the first np.unique, np.isin or
+    # np.union1d; pytest and scipy load it themselves, so a fresh process
+    # runs every scenario's config and one 2^N oracle rate
+    paths = [_write_cfg(tmp_path, doc, f"{name}.json") for name, doc in _FULL.items()]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = f"""
+import contextlib, io, sys
+from subradiance import (EnsembleInput, Partition, brute_force_rate, derive_params,
+                         symmetric_partitioned, to_full_basis)
+from subradiance.cli import main
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(["--config", path, "--quiet"]):
+            sys.exit(path + " failed")
+    if "numpy.ma" in sys.modules:
+        sys.exit(path + " imports numpy.ma")
+p = derive_params(EnsembleInput(**{ENSEMBLE!r}))
+brute_force_rate(to_full_basis(symmetric_partitioned(2, Partition.equal(8, 2))), p)
+sys.exit("numpy.ma" in sys.modules and "the oracle rate imports numpy.ma")
+"""
+    run = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 # ---------------------------------------------------------------------------
 # one field table: every field checked, named and defaulted in one place
 # ---------------------------------------------------------------------------
