@@ -341,13 +341,19 @@ def test_store_grid_snaps_to_bin(tmp_path, capsys, params):
     assert json.loads(out)["report"]["write_efficiency"] == pytest.approx(want, abs=1e-9)
 
 
-def test_cli_import_needs_no_scipy():
-    # scipy is a test-only dependency; the installed program must run without it
+def _fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_needs_no_scipy():
+    # scipy is a test-only dependency; the installed program must run without it
     code = "import sys, subradiance.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_python(code).returncode == 0
 
 
 def test_no_scenario_and_no_oracle_rate_imports_numpy_ma(tmp_path):
@@ -355,9 +361,6 @@ def test_no_scenario_and_no_oracle_rate_imports_numpy_ma(tmp_path):
     # np.union1d; pytest and scipy load it themselves, so a fresh process
     # runs every scenario's config and one 2^N oracle rate
     paths = [_write_cfg(tmp_path, doc, f"{name}.json") for name, doc in _FULL.items()]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = f"""
 import contextlib, io, sys
 from subradiance import (EnsembleInput, Partition, brute_force_rate, derive_params,
@@ -373,8 +376,7 @@ p = derive_params(EnsembleInput(**{ENSEMBLE!r}))
 brute_force_rate(to_full_basis(symmetric_partitioned(2, Partition.equal(8, 2))), p)
 sys.exit("numpy.ma" in sys.modules and "the oracle rate imports numpy.ma")
 """
-    run = subprocess.run([sys.executable, "-c", code, *paths], env=env,
-                         capture_output=True, text=True)
+    run = _fresh_python(code, *paths)
     assert run.returncode == 0, run.stderr
 
 
